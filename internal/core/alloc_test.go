@@ -4,7 +4,9 @@ package core
 // zero-steady-state-allocation path (the bench-gate CI job also pins this
 // via cmd/bench compare, but the tests fail faster and closer to the
 // cause). Warm-up rounds let the reusable buffers (delta moves, entry
-// loads, view tables) reach their high-water marks first.
+// loads, view tables, each worker's draw and peer tile) reach their
+// high-water marks first. The player count spans several decide tiles
+// with a ragged last one, so the steady state covers tile refills.
 
 import (
 	"testing"
@@ -13,10 +15,14 @@ import (
 	"congame/internal/workload"
 )
 
+// allocTestPlayers puts more than one decide tile in every shard at
+// workers 1 and 2.
+const allocTestPlayers = 4*prng.Tile + 1001
+
 // TestEngineStepZeroAllocsWorkers1 pins the engine's one-worker round at
 // zero allocations per step on the heavy-traffic workload.
 func TestEngineStepZeroAllocsWorkers1(t *testing.T) {
-	inst, err := workload.HeavyTraffic(4096, 32, prng.New(1))
+	inst, err := workload.HeavyTraffic(allocTestPlayers, 32, prng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +48,7 @@ func TestEngineStepZeroAllocsWorkers1(t *testing.T) {
 // apply replace the per-round goroutine spawns (closures, WaitGroups)
 // that used to cost ~10 allocations per parallel round.
 func TestEngineStepZeroAllocsWorkers2(t *testing.T) {
-	inst, err := workload.HeavyTraffic(4096, 32, prng.New(1))
+	inst, err := workload.HeavyTraffic(allocTestPlayers, 32, prng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"congame/internal/game"
+	"congame/internal/pool"
 	"congame/internal/prng"
 )
 
@@ -129,12 +129,9 @@ type Engine struct {
 	blocks    []*prng.Block    // one batched PRNG block per worker
 	deltas    []*game.Delta    // one private migration buffer per worker
 
-	// Persistent worker pool for the sharded round (see pool.go). jobs is
-	// nil until the first multi-worker Step; wg is the reusable round
-	// barrier shared by the decide and replay fan-outs.
-	jobs     chan poolJob
-	poolSize int
-	wg       sync.WaitGroup
+	// Persistent workers for the sharded round's decide and replay
+	// fan-outs (see pool.go); nil until the first multi-worker Step.
+	pool *pool.Pool[poolJob]
 }
 
 // Option configures an Engine.
@@ -426,7 +423,10 @@ func (e *Engine) stepSharded(view *game.RoundView, n, workers int, t *StepTiming
 		e.stream(w)
 		e.block(w)
 	}
-	e.ensurePool(used - 1)
+	if e.pool == nil {
+		e.pool = pool.New[poolJob]()
+	}
+	e.pool.Grow(used - 1)
 
 	round := uint64(e.round)
 	for w := 1; w < used; w++ {
@@ -434,17 +434,15 @@ func (e *Engine) stepSharded(view *game.RoundView, n, workers int, t *StepTiming
 		if hi > n {
 			hi = n
 		}
-		e.wg.Add(1)
-		e.jobs <- poolJob{
+		e.pool.Go(poolJob{
 			proto: e.proto, view: view,
 			lo: w * chunk, hi: hi,
 			d: e.deltas[w], stream: e.streams[w], blk: e.blocks[w],
 			seed: e.seed, round: round,
-			wg: &e.wg,
-		}
+		})
 	}
 	decideRange(e.proto, view, 0, chunk, e.deltas[0], e.streams[0], e.blocks[0], e.seed, round)
-	e.wg.Wait()
+	e.pool.Wait()
 	if t != nil {
 		now := time.Now()
 		t.Decide = now.Sub(*mark)
@@ -453,11 +451,10 @@ func (e *Engine) stepSharded(view *game.RoundView, n, workers int, t *StepTiming
 
 	newStrategies = e.st.StageDeltas(e.deltas[:used])
 	for w := 1; w < used; w++ {
-		e.wg.Add(1)
-		e.jobs <- poolJob{replay: true, d: e.deltas[w], wg: &e.wg}
+		e.pool.Go(poolJob{replay: true, d: e.deltas[w]})
 	}
 	e.deltas[0].Replay()
-	e.wg.Wait()
+	e.pool.Wait()
 	e.phi, movers = e.st.CommitDeltas(e.phi, e.deltas[:used])
 	if t != nil {
 		now := time.Now()

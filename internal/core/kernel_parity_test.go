@@ -8,7 +8,10 @@ package core
 // every assignment, the folded potential — across symmetric singleton
 // games (the flattened raw-buffer loop), multi-resource games (the
 // cursor loop), asymmetric classes, and non-power-of-two player counts
-// (the Int31n modulo + rejection derivations).
+// (the Int31n modulo + rejection derivations). The kernels decide in
+// prng.Tile-player tiles, so each kernel is also run at player counts
+// spanning several tiles and at worker counts whose shard edges fall
+// inside a tile.
 
 import (
 	"math/rand"
@@ -42,12 +45,18 @@ func runKernelParity(t *testing.T, st *game.State, proto Protocol, workers, roun
 	assertSameTrajectory(t, workers, got, want)
 }
 
+// multiTileNs are player counts spanning several decide tiles: a power of
+// two (the mask derivation; with three workers its shard edges fall
+// inside tiles) and an odd count whose last tile is ragged (the modulo
+// derivation).
+var multiTileNs = []int{4 * prng.Tile, 3*prng.Tile + 1001}
+
 // TestKernelMatchesGenericSingleton pins the flattened symmetric-singleton
-// kernel against the reference loop, at a power-of-two and a non-power-of-
-// two player count (mask vs modulo Int31n derivations) and across worker
-// counts.
+// kernel against the reference loop, at power-of-two and non-power-of-two
+// player counts (mask vs modulo Int31n derivations) within one tile and
+// across several, and across worker counts.
 func TestKernelMatchesGenericSingleton(t *testing.T) {
-	for _, n := range []int{1024, 1000, 1021} {
+	for _, n := range append([]int{1024, 1000, 1021}, multiTileNs...) {
 		inst, err := workload.HeavyTraffic(n, 16, prng.New(3))
 		if err != nil {
 			t.Fatal(err)
@@ -59,6 +68,48 @@ func TestKernelMatchesGenericSingleton(t *testing.T) {
 		for _, w := range workerCounts() {
 			runKernelParity(t, inst.State, im, w, 40)
 		}
+	}
+}
+
+// TestKernelRejectionReplayInsideTile pins the singleton kernel's Int31n
+// rejection replay where it actually fires. At n = 2^20+1 the modulo-safe
+// bound rejects a first Int31 draw with probability (2^31 mod n)/2^31 ≈
+// 4.9·10^-4, about 500 players a round, scattered across the tiles; the
+// count is taken independently from fresh prng.Stream draws, so a
+// workload that never reaches the replay fails instead of passing
+// vacuously.
+func TestKernelRejectionReplayInsideTile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^20-player parity run")
+	}
+	const (
+		n      = 1<<20 + 1
+		rounds = 2
+		seed   = 7 // runKernelParity's engine seed
+	)
+	bound := int32((1<<31 - 1) - (1<<31)%uint32(n))
+	rejected := 0
+	for r := 0; r < rounds; r++ {
+		for p := 0; p < n; p++ {
+			if prng.Stream(seed, uint64(r), uint64(p)).Int31() > bound {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatalf("no player of %d rounds at n=%d takes the rejection path", rounds, n)
+	}
+	t.Logf("%d rejection replays over %d rounds", rejected, rounds)
+	inst, err := workload.HeavyTraffic(n, 16, prng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := NewImitation(inst.Game, ImitationConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 3} {
+		runKernelParity(t, inst.State, im, w, rounds)
 	}
 }
 
@@ -97,31 +148,35 @@ func TestKernelMatchesGenericMultiClass(t *testing.T) {
 
 // TestKernelMatchesGenericVirtual pins the VirtualImitation kernel.
 func TestKernelMatchesGenericVirtual(t *testing.T) {
-	inst, err := workload.HeavyTraffic(999, 12, prng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vi, err := NewVirtualImitation(inst.Game, ImitationConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts() {
-		runKernelParity(t, inst.State, vi, w, 40)
+	for _, n := range append([]int{999}, multiTileNs...) {
+		inst, err := workload.HeavyTraffic(n, 12, prng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vi, err := NewVirtualImitation(inst.Game, ImitationConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workerCounts() {
+			runKernelParity(t, inst.State, vi, w, 40)
+		}
 	}
 }
 
 // TestKernelMatchesGenericUndamped pins the UndampedImitation kernel (the
 // E5 ablation path).
 func TestKernelMatchesGenericUndamped(t *testing.T) {
-	inst, err := workload.HeavyTraffic(777, 8, prng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := NewUndampedImitation(inst.Game, 0.25, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts() {
-		runKernelParity(t, inst.State, u, w, 40)
+	for _, n := range append([]int{777}, multiTileNs...) {
+		inst, err := workload.HeavyTraffic(n, 8, prng.New(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := NewUndampedImitation(inst.Game, 0.25, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workerCounts() {
+			runKernelParity(t, inst.State, u, w, 40)
+		}
 	}
 }

@@ -11,17 +11,19 @@ import (
 // 3-word stream re-seed (Reusable.Reset3) and an interface-dispatched
 // Source64 draw inside every rand.Rand method. For the protocols the
 // engine actually runs hot — Imitation, VirtualImitation,
-// UndampedImitation — decideRange instead type-switches to the
-// monomorphic loops below: the worker's prng.Block fills the shard's
-// first-2 stream outputs in one tight batched pass, and each player's
-// decision consumes those draws through a stack cursor in the exact order
-// the scalar path consumes its rand.Rand draws. Decisions, draw counts,
-// and float evaluation order are identical, so trajectories are
-// bit-identical to the generic path (pinned by TestKernelMatchesGeneric
-// and every parity/golden wall). Exploration, Combined, and user-supplied
-// protocols keep the generic path: their draw counts are strategy-space
-// dependent, which batching cannot anticipate — the reference loop stays
-// the semantic ground truth either way.
+// UndampedImitation — decideTile instead type-switches to the
+// monomorphic loops below, one prng.Tile of the shard at a time: the
+// worker's prng.Block fills the tile's first-2 stream outputs in one tight
+// batched pass, and each player's decision consumes those draws through a
+// stack cursor in the exact order the scalar path consumes its rand.Rand
+// draws. Decisions, draw counts, and float evaluation order are
+// identical, so trajectories are bit-identical to the generic path
+// (pinned by TestKernelMatchesGeneric and every parity/golden wall), and
+// tile edges never show: every player's decision reads only its own
+// draws and the round-start view. Exploration, Combined, and
+// user-supplied protocols keep the generic path: their draw counts are
+// strategy-space dependent, which batching cannot anticipate — the
+// reference loop stays the semantic ground truth either way.
 
 // kernelDraws is the per-player draw budget the kernels buffer: one
 // sampling draw (peer or virtual agent) plus one migration-probability
@@ -29,34 +31,35 @@ import (
 // scalar continuation of the same stream.
 const kernelDraws = 2
 
-// decideImitationRange is Imitation.Decide inlined over a filled block:
-// sample a class peer, adopt its strategy with probability
-// (λ/d)·gain/ℓ_P when the gain clears ν. The probability chain evaluates
-// λ/d first (hoisted here), then ·gain, then /ℓ_P — the scalar
-// expression's exact association.
+// decideImitationRange is Imitation.Decide inlined over one tile: sample
+// a class peer, adopt its strategy with probability (λ/d)·gain/ℓ_P when
+// the gain clears ν. The probability chain evaluates λ/d first (hoisted
+// here), then ·gain, then /ℓ_P — the scalar expression's exact
+// association.
 func decideImitationRange(im *Imitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {
 	imitateRange(im.g, view, lo, hi, d, blk, seed, round, im.nu, im.lambda/im.d)
 }
 
-// decideUndampedRange is UndampedImitation.Decide inlined over a filled
-// block (the E5 overshooting ablation): the same loop with the 1/d
-// damping dropped from the probability scale.
+// decideUndampedRange is UndampedImitation.Decide inlined over one tile
+// (the E5 overshooting ablation): the same loop with the 1/d damping
+// dropped from the probability scale.
 func decideUndampedRange(u *UndampedImitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {
 	imitateRange(u.g, view, lo, hi, d, blk, seed, round, u.nu, u.lambda)
 }
 
-// imitateRange is the shared imitation loop: peer sample, anticipated
-// gain against the round-start view, migrate when a Float64 draw clears
-// scale·gain/ℓ_P. Symmetric singleton games (the parallel-links setting
-// all heavy workloads use) take a further-specialized variant: the peer
-// sample is a bare Intn (no class table) and the switch latency collapses
-// to the O(1) JoinLatency lookup — for disjoint singleton strategies
-// ℓ_to(x+1_to−1_from) is exactly ℓ⁺_to(x), the same table cell
-// RoundView.SwitchLatency's singleton path reads.
+// imitateRange is the shared imitation loop over one tile: peer sample,
+// anticipated gain against the round-start view, migrate when a Float64
+// draw clears scale·gain/ℓ_P. Symmetric singleton games (the
+// parallel-links setting all heavy workloads use) take a
+// further-specialized variant: the peer sample is a bare Intn (no class
+// table) and the switch latency collapses to the O(1) JoinLatency lookup
+// — for disjoint singleton strategies ℓ_to(x+1_to−1_from) is exactly
+// ℓ⁺_to(x), the same table cell RoundView.SwitchLatency's singleton path
+// reads.
 func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64, nu, scale float64) {
 	blk.Fill(seed, round, lo, hi)
 	if g.IsSingleton() && g.NumClasses() == 1 && g.NumPlayers() < 1<<31 {
-		imitateSingletonRange(g.NumPlayers(), view, lo, hi, d, blk, nu, scale)
+		imitateSingletonRange(g.NumPlayers(), view, lo, d, blk, nu, scale)
 		return
 	}
 	for p := lo; p < hi; p++ {
@@ -78,38 +81,31 @@ func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta,
 	}
 }
 
-// imitateSingletonRange is the flattened symmetric-singleton loop: the
-// two buffered words per player are consumed directly from the block's
-// raw buffer with math/rand's derivation formulas inlined —
-// Int31 = int32(u64 >> 33), Float64 = float64(int64(u64 >> 1)) / 2^63 —
-// so the common case runs with no cursor bookkeeping at all. The two rare
-// cases that need draws beyond the formulas (Int31n rejection when the
-// first Int31 exceeds the modulo-safe bound, the 2^-53 Float64
-// resample-on-1.0) replay the whole player through a Cursor from draw 0:
-// the buffered words are re-read, so consumption and values stay exactly
-// the scalar path's.
-func imitateSingletonRange(n int, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, nu, scale float64) {
-	raw := blk.Raw()
-	n32 := int32(n)
-	pow2 := n32&(n32-1) == 0
-	mask := n32 - 1
-	maxv := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
-	for p := lo; p < hi; p++ {
-		base := (p - lo) * kernelDraws
-		v := int32(raw[base] >> 33) // rand.Int31 of the player's first draw
-		var q int
-		if pow2 {
-			q = int(v & mask)
-		} else if v <= maxv {
-			q = int(v % n32)
-		} else {
+// imitateSingletonRange is the flattened symmetric-singleton loop over
+// one filled tile, in two passes. Block.Gather first loads every player's
+// sampled peer strategy into the block's peer buffer in one branch-free
+// pass, so the tile's random assign[q] reads — the round's dominant cost
+// at large n — overlap instead of each stalling the decision that
+// consumes it. The decide pass then runs the decision body against the
+// buffer, reading the second word as Float64 = float64(int64(u64 >> 1)) /
+// 2^63. The two rare cases that need draws beyond the formulas (Int31n
+// rejection, which Gather marks -1, and the 2^-53 Float64
+// resample-on-1.0) replay the whole player through a Cursor from draw 0,
+// so consumption and values stay exactly the scalar path's.
+func imitateSingletonRange(n int, view *game.RoundView, lo int, d *game.Delta, blk *prng.Block, nu, scale float64) {
+	assign := view.State().AssignmentView()
+	peers := blk.Gather(assign, n)
+	raw := blk.Raw()[:kernelDraws*len(peers)]
+	for i, to32 := range peers {
+		p := lo + i
+		if to32 < 0 {
 			// Rejection: Int31n needs more draws than the formula covers.
 			cur := blk.Cursor(p)
 			imitateSingletonPlayer(n, view, p, d, &cur, nu, scale)
 			continue
 		}
-		to := view.Assign(q)
-		from := view.Assign(p)
+		to := int(to32)
+		from := int(assign[p])
 		if from == to {
 			continue
 		}
@@ -118,7 +114,7 @@ func imitateSingletonRange(n int, view *game.RoundView, lo, hi int, d *game.Delt
 		if gain <= nu || lp <= 0 {
 			continue
 		}
-		f := float64(int64(raw[base+1]>>1)) / (1 << 63) // rand.Float64
+		f := float64(int64(raw[kernelDraws*i+1]>>1)) / (1 << 63) // rand.Float64
 		if f == 1 {
 			// The resample-on-1.0 guard fired; replay through the cursor.
 			cur := blk.Cursor(p)
@@ -151,8 +147,8 @@ func imitateSingletonPlayer(n int, view *game.RoundView, p int, d *game.Delta, c
 	}
 }
 
-// decideVirtualRange is VirtualImitation.Decide inlined over a filled
-// block: sample among n real players plus K virtual agents pinned to the
+// decideVirtualRange is VirtualImitation.Decide inlined over one tile:
+// sample among n real players plus K virtual agents pinned to the
 // registered strategies, then apply the imitation rule. Virtual games are
 // symmetric by construction (the constructor enforces one class).
 func decideVirtualRange(vi *VirtualImitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {

@@ -1,32 +1,23 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"congame/internal/game"
 	"congame/internal/prng"
 )
 
 // The parallel round used to spawn fresh goroutines every Step (decide
 // fan-out, replay fan-out), which cost ~10 heap allocations per round at
-// workers=2 — the closures, their captured WaitGroups, and the goroutine
-// start frames. The engine instead keeps a persistent pool of workers fed
-// through a channel of plain job values: after warm-up the sharded round
-// allocates nothing, matching the single-worker path (the
-// TestEngineStepZeroAllocs* tests and the cmd/bench allocs/op gate pin
-// both at zero).
-//
-// Pool workers reference only the job channel, never the Engine, so an
-// unreachable Engine is collected normally; a finalizer closes the channel
-// and the workers drain out. Engines with workers ≤ 1 never start a pool.
+// workers=2. The engine instead runs shards 1..k-1 on a persistent
+// pool.Pool of poolJob values: after warm-up the sharded round allocates
+// nothing, matching the single-worker path (the TestEngineStepZeroAllocs*
+// tests and the cmd/bench allocs/op gate pin both at zero). Engines with
+// workers ≤ 1 never start a pool.
 
-// poolJob is one unit of sharded round work. Jobs are sent by value —
-// nothing escapes per round. The zero phase is a decide pass; replay jobs
-// run the shard's ΔΦ replay instead.
+// poolJob is one unit of sharded round work. The zero phase is a decide
+// pass; replay jobs run the shard's ΔΦ replay instead.
 type poolJob struct {
 	replay bool
-	// decide-pass inputs (replay jobs use only d and wg)
+	// decide-pass inputs (replay jobs use only d)
 	proto  Protocol
 	view   *game.RoundView
 	lo, hi int
@@ -35,35 +26,38 @@ type poolJob struct {
 	blk    *prng.Block
 	seed   uint64
 	round  uint64
-	// wg is the engine's reusable round barrier.
-	wg *sync.WaitGroup
 }
 
-// poolWorker drains jobs until the channel closes. It is a top-level
-// function over the channel alone so pool goroutines never keep their
-// Engine reachable.
-func poolWorker(jobs <-chan poolJob) {
-	for j := range jobs {
-		if j.replay {
-			j.d.Replay()
-		} else {
-			decideRange(j.proto, j.view, j.lo, j.hi, j.d, j.stream, j.blk, j.seed, j.round)
-		}
-		j.wg.Done()
+// Run executes the job on a pool worker.
+func (j poolJob) Run() {
+	if j.replay {
+		j.d.Replay()
+		return
 	}
+	decideRange(j.proto, j.view, j.lo, j.hi, j.d, j.stream, j.blk, j.seed, j.round)
 }
 
 // decideRange decides players [lo, hi) against the shared round-start view
 // and records the resulting migrations into the shard's private delta —
 // the same code path for the inline single-worker round, the caller's own
 // shard, and every pool worker, so decisions are identical regardless of
-// where a shard runs. The imitation-family protocols dispatch to the
-// devirtualized blocked kernels (kernels.go); everything else — innovative
-// protocols with data-dependent draw counts, user protocols — runs the
-// generic reference loop over the scalar per-player streams. Both faces
-// consume identical draw sequences, so the split never shows up in a
-// trajectory.
+// where a shard runs. It walks the shard in prng.Tile-player tiles, so the
+// worker's block stays one cache-sized tile whatever the shard size.
+// Every decision reads only its own player's draws and the round-start
+// view, so neither shard nor tile edges ever show up in a trajectory.
 func decideRange(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta, stream *prng.Reusable, blk *prng.Block, seed, round uint64) {
+	for t := lo; t < hi; t += prng.Tile {
+		decideTile(proto, view, t, min(t+prng.Tile, hi), d, stream, blk, seed, round)
+	}
+}
+
+// decideTile decides one tile. The imitation-family protocols dispatch to
+// the devirtualized blocked kernels (kernels.go); everything else —
+// innovative protocols with data-dependent draw counts, user protocols —
+// runs the generic reference loop over the scalar per-player streams.
+// Both faces consume identical draw sequences, so the split never shows
+// up in a trajectory.
+func decideTile(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta, stream *prng.Reusable, blk *prng.Block, seed, round uint64) {
 	switch pr := proto.(type) {
 	case *Imitation:
 		decideImitationRange(pr, view, lo, hi, d, blk, seed, round)
@@ -83,21 +77,5 @@ func decideRange(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta
 				d.RecordMove(p, dec.To)
 			}
 		}
-	}
-}
-
-// ensurePool guarantees at least k persistent workers. The first call
-// creates the job channel and registers the finalizer that shuts the pool
-// down once the Engine is unreachable.
-func (e *Engine) ensurePool(k int) {
-	if e.poolSize >= k {
-		return
-	}
-	if e.jobs == nil {
-		e.jobs = make(chan poolJob)
-		runtime.SetFinalizer(e, func(fe *Engine) { close(fe.jobs) })
-	}
-	for ; e.poolSize < k; e.poolSize++ {
-		go poolWorker(e.jobs)
 	}
 }

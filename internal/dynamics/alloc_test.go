@@ -4,7 +4,9 @@ package dynamics
 // RoundStats includes the exact linear potential, which used to re-derive
 // the per-link slopes (an allocation plus a type switch per link) on
 // every Step. The adapter now caches the slopes at wrap time; this test
-// pins the whole adapter round at zero steady-state allocations.
+// pins the whole adapter round at zero steady-state allocations, at one
+// worker and at two (the engine's persistent decide pool), over several
+// decide tiles with a ragged last one.
 
 import (
 	"testing"
@@ -24,7 +26,7 @@ func TestWeightedAdapterStepZeroAllocs(t *testing.T) {
 		}
 		fns[e] = f
 	}
-	weights := make([]float64, 2048)
+	weights := make([]float64, 4*prng.Tile+1001)
 	for i := range weights {
 		weights[i] = 1 + rng.Float64()*7
 	}
@@ -40,16 +42,18 @@ func TestWeightedAdapterStepZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := weighted.NewEngine(st, proto, 3, weighted.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn := FromWeighted(e)
-	for i := 0; i < 8; i++ {
-		dyn.Step()
-	}
-	allocs := testing.AllocsPerRun(20, func() { dyn.Step() })
-	if allocs != 0 {
-		t.Fatalf("weighted adapter step allocated %.1f times per round, want 0", allocs)
+	for _, workers := range []int{1, 2} {
+		e, err := weighted.NewEngine(st.Clone(), proto, 3, weighted.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn := FromWeighted(e)
+		for i := 0; i < 8; i++ {
+			dyn.Step()
+		}
+		allocs := testing.AllocsPerRun(20, func() { dyn.Step() })
+		if allocs != 0 {
+			t.Fatalf("weighted adapter step at workers=%d allocated %.1f times per round, want 0", workers, allocs)
+		}
 	}
 }

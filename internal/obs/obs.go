@@ -194,7 +194,11 @@ func seriesKey(family string, labels []Label) string {
 	return sb.String()
 }
 
-func (r *Registry) register(family, help, typ string, labels []Label) *series {
+// register finds the (family, labels) series or creates it together with
+// its collector (a histogram over bounds), all under r.mu: concurrent
+// first registrations of one series must see one collector, or their
+// updates would land in instances the registry never renders.
+func (r *Registry) register(family, help, typ string, labels []Label, bounds []float64) *series {
 	if !validName(family) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", family))
 	}
@@ -215,12 +219,24 @@ func (r *Registry) register(family, help, typ string, labels []Label) *series {
 	if prev, ok := r.typ[family]; ok && prev != typ {
 		panic(fmt.Sprintf("obs: metric family %s holds %s series, cannot add %s", family, prev, typ))
 	}
+	s := &series{family: family, typ: typ, labels: append([]Label(nil), labels...)}
+	switch typ {
+	case "counter":
+		s.counter = &Counter{}
+	case "gauge":
+		s.gauge = &Gauge{}
+	case "histogram":
+		h, err := newHistogram(bounds)
+		if err != nil {
+			panic(err.Error())
+		}
+		s.hist = h
+	}
 	if _, ok := r.typ[family]; !ok {
 		r.order = append(r.order, family)
 		r.typ[family] = typ
 		r.help[family] = help
 	}
-	s := &series{family: family, typ: typ, labels: append([]Label(nil), labels...)}
 	r.byKey[key] = s
 	r.list = append(r.list, s)
 	return s
@@ -228,20 +244,12 @@ func (r *Registry) register(family, help, typ string, labels []Label) *series {
 
 // Counter registers (or finds) a counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, "counter", labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, "counter", labels, nil).counter
 }
 
 // Gauge registers (or finds) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, "gauge", labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, "gauge", labels, nil).gauge
 }
 
 // Histogram registers (or finds) a histogram series with the given
@@ -249,15 +257,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // first registration; later registrations of the same series return the
 // existing histogram regardless of the bounds passed.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	s := r.register(name, help, "histogram", labels)
-	if s.hist == nil {
-		h, err := newHistogram(bounds)
-		if err != nil {
-			panic(err.Error())
-		}
-		s.hist = h
-	}
-	return s.hist
+	return r.register(name, help, "histogram", labels, bounds).hist
 }
 
 // snapshot returns the families in registration order with their series.

@@ -84,6 +84,58 @@ func TestRegistryIdempotentAndConcurrent(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentFirstRegistration races the first registration
+// of one series of each type: every goroutine must get the same collector
+// and every update must land in it. Run it under -race (and -count=N) —
+// a collector created outside the registry's lock shows up as a data race
+// or as lost updates.
+func TestRegistryConcurrentFirstRegistration(t *testing.T) {
+	const goroutines, per = 16, 100
+	r := NewRegistry()
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		cs    [goroutines]*Counter
+		gs    [goroutines]*Gauge
+		hs    [goroutines]*Histogram
+	)
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			cs[i] = r.Counter("race_total", "c", L("k", "v"))
+			gs[i] = r.Gauge("race_gauge", "g", L("k", "v"))
+			hs[i] = r.Histogram("race_seconds", "h", []float64{1, 2}, L("k", "v"))
+			for j := 0; j < per; j++ {
+				cs[i].Inc()
+				gs[i].Add(1)
+				hs[i].Observe(1.5)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 1; i < goroutines; i++ {
+		if cs[i] != cs[0] || gs[i] != gs[0] || hs[i] != hs[0] {
+			t.Fatalf("goroutine %d got a different collector instance for the same series", i)
+		}
+	}
+	const want = goroutines * per
+	if got := cs[0].Value(); got != want {
+		t.Errorf("counter = %d, want %d", got, want)
+	}
+	if got := gs[0].Value(); got != want {
+		t.Errorf("gauge = %g, want %d", got, want)
+	}
+	if got := hs[0].Count(); got != want {
+		t.Errorf("histogram count = %d, want %d", got, want)
+	}
+	if got := hs[0].BucketCount(1); got != want {
+		t.Errorf("histogram le=2 bucket = %d, want %d", got, want)
+	}
+}
+
 func TestRegistryPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()

@@ -5,12 +5,13 @@ package prng
 // The scalar hot path re-seeds one Reusable per player
 // (Reset3(seed, round, p)) and draws through *rand.Rand, which costs an
 // interface dispatch (rand.Rand → Source64) on every draw. A Block instead
-// fills a per-shard buffer with the first K raw outputs of every
-// (seed, round, p) stream in one tight loop — Mix and SplitMix64 fully
-// inlined, the (seed, round) prefix of the Mix absorbed once per fill
-// instead of once per player — and a Cursor then hands those draws to the
-// decision kernels through monomorphic methods that replicate math/rand's
-// Intn/Int63n/Float64 value streams bit for bit.
+// fills a buffer holding one tile of a worker's shard (Tile players) with
+// the first K raw outputs of every (seed, round, p) stream in one tight
+// loop — Mix and SplitMix64 fully inlined, the (seed, round) prefix of the
+// Mix absorbed once per fill instead of once per player — and a Cursor
+// then hands those draws to the decision kernels through monomorphic
+// methods that replicate math/rand's Intn/Int63n/Float64 value streams
+// bit for bit.
 //
 // Determinism contract: for every coordinate triple, the draw sequence a
 // Cursor yields is identical to the sequence Stream(seed, round, p) (or
@@ -37,15 +38,27 @@ func mixFinalize(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// Tile is the number of players a decision kernel fills and decides at a
+// time. The engines walk each worker's shard in tiles of this size, so a
+// Block never holds more than one tile: at the kernels' K = 2 that is 16 B
+// of buffered draws, 8 B of stream state and 4 B of gathered peer
+// strategy per player, 56 KiB per tile — resident in a core's L2 while
+// the tile's peer loads are in flight, instead of a shard-sized buffer
+// streamed through memory (24 B per player, 48 MiB per worker at
+// n = 2^22). The value was chosen by measurement (DESIGN.md §11).
+const Tile = 2048
+
 // Block holds the first K raw 64-bit outputs of the (seed, round, p)
-// decision streams for a contiguous player range [lo, hi). One Block per
-// worker is reused across rounds; after the first fill at a range's
-// high-water mark, Fill allocates nothing.
+// decision streams for a contiguous player range [lo, hi), plus the peer
+// buffer Gather fills. One Block per worker is reused across rounds;
+// after the first fill at a range's high-water mark, Fill and Gather
+// allocate nothing.
 type Block struct {
 	k      int
 	lo     int
 	buf    []uint64 // (hi-lo)*k raw outputs, player-major
 	states []uint64 // per player: SplitMix64 state after the k buffered draws
+	peers  []int32  // Gather's output: one peer strategy per player
 }
 
 // NewBlock returns a Block buffering the first k draws of each stream.
@@ -129,6 +142,48 @@ func (b *Block) Raw() []uint64 { return b.buf }
 
 // Lo returns the first player of the last filled range.
 func (b *Block) Lo() int { return b.lo }
+
+// Gather fills the block's peer buffer for the last filled range and
+// returns it: entry i is assign[q] for player Lo()+i's peer q = Intn(n),
+// derived from the player's first buffered draw with Cursor.Int31n's
+// rule (Int31 = int32(u64 >> 33), then the mask for a power-of-two n, the
+// modulo otherwise). The loads carry no data-dependent branch, so a
+// tile's random assign reads are in flight at once instead of each
+// stalling the decision that consumes it. When Int31n would reject the
+// first draw and resample (never for a power-of-two n), the entry is -1:
+// the caller replays that player through a Cursor. n must lie in
+// [1, 2^31) and every assign value must be ≥ 0. The buffer is reused by
+// the next call.
+func (b *Block) Gather(assign []int32, n int) []int32 {
+	if n <= 0 || n >= 1<<31 {
+		panic("prng: invalid argument to Gather")
+	}
+	m := len(b.states)
+	if cap(b.peers) < m {
+		b.peers = make([]int32, m)
+	}
+	peers := b.peers[:m]
+	k := b.k
+	raw := b.buf[:m*k]
+	n32 := int32(n)
+	if n32&(n32-1) == 0 {
+		mask := n32 - 1
+		for i := range peers {
+			peers[i] = assign[int32(raw[i*k]>>33)&mask]
+		}
+		return peers
+	}
+	maxv := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
+	for i := range peers {
+		v := int32(raw[i*k] >> 33)
+		s := assign[v%n32] // a valid index even for a rejected draw
+		if v > maxv {
+			s = -1
+		}
+		peers[i] = s
+	}
+	return peers
+}
 
 // Cursor returns a cursor over player p's draws. p must lie in the range
 // of the last Fill. The cursor is a value — kernels keep it on the stack

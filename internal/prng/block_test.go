@@ -87,6 +87,53 @@ func TestCursorDerivedDrawsMatchRand(t *testing.T) {
 	}
 }
 
+// TestGatherMatchesIntn pins Gather against the cursor it stands in for:
+// for every player, a non-negative entry must be assign[Intn(n)] drawn
+// from a fresh Stream, with Intn consuming exactly the one buffered draw,
+// and an entry of -1 must mark exactly the players whose Intn rejected
+// that draw and resampled. The n values cover the mask path (powers of
+// two, including 1) and the modulo path; at n = 2^20+1 about one draw in
+// 2000 is rejected, so the range holds a few. k = 3 checks the stride,
+// and the range starts away from zero.
+func TestGatherMatchesIntn(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		b := NewBlock(k)
+		for _, n := range []int{1, 2, 1 << 10, 3, 1000, 1<<20 + 1} {
+			assign := make([]int32, n)
+			for q := range assign {
+				assign[q] = int32(q % 97)
+			}
+			lo, hi := 129, 129+20000
+			b.Fill(17, uint64(n), lo, hi)
+			peers := b.Gather(assign, n)
+			if len(peers) != hi-lo {
+				t.Fatalf("k=%d n=%d: %d entries for %d players", k, n, len(peers), hi-lo)
+			}
+			rejected := 0
+			for p := lo; p < hi; p++ {
+				fresh := Stream(17, uint64(n), uint64(p))
+				want := assign[fresh.Intn(n)]
+				next := fresh.Uint64()
+				one := Stream(17, uint64(n), uint64(p))
+				one.Uint64()
+				resampled := one.Uint64() != next // Intn took more than one draw
+				switch got := peers[p-lo]; {
+				case resampled:
+					rejected++
+					if got != -1 {
+						t.Fatalf("k=%d n=%d player %d: Intn resampled, Gather gave %d, want -1", k, n, p, got)
+					}
+				case got != want:
+					t.Fatalf("k=%d n=%d player %d: Gather %d, assign[Intn(n)] %d", k, n, p, got, want)
+				}
+			}
+			if n == 1<<20+1 && rejected == 0 {
+				t.Fatalf("n=%d: no rejected draw in %d players, the -1 case went untested", n, hi-lo)
+			}
+		}
+	}
+}
+
 // FuzzBlockVsStream fuzzes random (seed, round, player, k) coordinates and
 // checks the full cursor contract: buffered draws, the overflow boundary,
 // and the derived Intn/Float64 value streams all match a fresh
@@ -122,20 +169,23 @@ func FuzzBlockVsStream(f *testing.F) {
 	})
 }
 
-// TestBlockFillZeroAllocs pins the fill loop at zero steady-state
-// allocations: after the first fill at a range's high-water mark, refills
-// (same or smaller range) must not touch the heap — the engine refills one
-// block per worker every round.
+// TestBlockFillZeroAllocs pins the fill and gather loops at zero
+// steady-state allocations: after the first fill at a range's high-water
+// mark, refills (same or smaller range) and gathers must not touch the
+// heap — the engine refills and gathers one block per worker every tile.
 func TestBlockFillZeroAllocs(t *testing.T) {
 	b := NewBlock(2)
+	assign := make([]int32, 5000)
 	b.Fill(1, 0, 0, 4096) // reach the high-water mark
+	b.Gather(assign, len(assign))
 	round := uint64(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		round++
 		b.Fill(1, round, 0, 4096)
+		b.Gather(assign, len(assign))
 	})
 	if allocs != 0 {
-		t.Fatalf("Block.Fill allocated %.1f times per refill, want 0", allocs)
+		t.Fatalf("Block.Fill + Gather allocated %.1f times per refill, want 0", allocs)
 	}
 }
 

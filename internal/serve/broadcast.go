@@ -6,17 +6,18 @@ import (
 )
 
 // broadcaster fans a job's journal byte stream out to SSE subscribers as
-// complete NDJSON lines. It keeps the full line history in memory so a
-// late subscriber replays the run from the start — journals are a few
-// bytes per round, so this is cheap at the scales the daemon serves (and
-// the on-disk journal remains the authority for terminal jobs).
+// complete NDJSON lines. While the job runs it keeps the line history in
+// memory so a late subscriber replays the run from the start; finish
+// releases it, because from then on the on-disk journal holds the same
+// bytes and is the authority — a daemon serving many jobs must not keep
+// every finished job's history alive.
 //
 // Writes arrive at the journal's bufio flush boundaries, which do not
 // align with lines; the broadcaster reassembles and only ever delivers
 // whole lines.
 type broadcaster struct {
 	mu      sync.Mutex
-	lines   [][]byte // complete history, each line without its newline
+	lines   [][]byte // history until finish, each line without its newline
 	pending []byte   // trailing partial line
 	subs    map[int]*subscriber
 	nextSub int
@@ -72,20 +73,22 @@ func (b *broadcaster) Write(p []byte) (int, error) {
 // subscribe returns the history so far plus a live channel. The channel
 // closes when the job finishes (after all lines were delivered) or when
 // the subscriber falls more than subChanDepth lines behind — dropped()
-// distinguishes the two. Call unsubscribe when done.
-func (b *broadcaster) subscribe() (history [][]byte, ch <-chan []byte, id int) {
+// distinguishes the two. Call unsubscribe when done. Once the job has
+// finished its history is gone: subscribe then reports live = false and
+// registers nothing, and the caller replays the on-disk journal instead.
+func (b *broadcaster) subscribe() (history [][]byte, ch <-chan []byte, id int, live bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	sub := &subscriber{ch: make(chan []byte, subChanDepth)}
 	if b.closed {
-		close(sub.ch)
+		return nil, nil, 0, false
 	}
+	sub := &subscriber{ch: make(chan []byte, subChanDepth)}
 	id = b.nextSub
 	b.nextSub++
 	b.subs[id] = sub
 	// The lines slice only ever appends and lines are immutable, so a
 	// shallow copy is a stable snapshot.
-	return append([][]byte(nil), b.lines...), sub.ch, id
+	return append([][]byte(nil), b.lines...), sub.ch, id, true
 }
 
 func (b *broadcaster) unsubscribe(id int) {
@@ -103,8 +106,8 @@ func (b *broadcaster) dropped(id int) bool {
 	return ok && sub.dropped
 }
 
-// finish closes every subscriber channel after the final lines; further
-// subscribes get the full history and an already-closed channel.
+// finish closes every subscriber channel after the final lines and
+// releases the history; further subscribes report live = false.
 func (b *broadcaster) finish() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -112,6 +115,7 @@ func (b *broadcaster) finish() {
 		return
 	}
 	b.closed = true
+	b.lines, b.pending = nil, nil
 	for _, sub := range b.subs {
 		if !sub.dropped {
 			close(sub.ch)

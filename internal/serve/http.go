@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	quick := r.URL.Query().Get("quick") == "1" || r.URL.Query().Get("quick") == "true"
-	j, err := s.submit(body, spec, quick)
+	rec, err := s.submit(body, spec, quick)
 	if errors.Is(err, errQueueFull) {
 		writeError(w, http.StatusServiceUnavailable, "job queue is full (%d pending)", s.cfg.QueueDepth)
 		return
@@ -87,7 +87,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.record())
+	writeJSON(w, http.StatusAccepted, rec)
 }
 
 // handleList returns every job's record in creation order.
@@ -201,15 +201,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	// Jobs that reached a terminal state in an earlier daemon process
-	// have an empty in-memory broadcaster; the on-disk journal is the
-	// authority for them either way.
-	if rec := j.record(); rec.Status.terminal() {
-		s.streamJournalFile(w, fl, j, rec.Status)
+	// A finished job's broadcaster has released its history (a job
+	// finished by an earlier daemon process never had one); its on-disk
+	// journal is complete by then and serves the stream instead.
+	history, ch, id, live := j.bcast.subscribe()
+	if !live {
+		s.streamJournalFile(w, fl, j, j.record().Status)
 		return
 	}
-
-	history, ch, id := j.bcast.subscribe()
 	defer j.bcast.unsubscribe(id)
 	for _, line := range history {
 		if err := sseFrame(w, line); err != nil {

@@ -55,10 +55,6 @@ const (
 	StatusSuspended Status = "suspended"
 )
 
-func (s Status) terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCanceled || s == StatusSuspended
-}
-
 // Config configures a Server.
 type Config struct {
 	// StateDir is the root state directory. Required; created if missing.
@@ -293,13 +289,18 @@ func (s *Server) loadJobs() error {
 				return fmt.Errorf("serve: queue depth %d cannot hold the %d interrupted jobs in %s",
 					s.cfg.QueueDepth, len(s.queue)+1, s.cfg.StateDir)
 			}
+		} else {
+			// Finished under an earlier daemon: SSE streams its journal.
+			j.bcast.finish()
 		}
 	}
 	return nil
 }
 
-// submit registers a new job for the parsed spec and enqueues it.
-func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, error) {
+// submit registers a new job for the parsed spec and enqueues it. It
+// returns the record as accepted (queued), taken before a worker can
+// pick the job up and move it on.
+func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (jobRecord, error) {
 	s.mu.Lock()
 	id := fmt.Sprintf("job-%06d", s.nextID)
 	s.nextID++
@@ -307,10 +308,10 @@ func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, erro
 
 	dir := filepath.Join(s.cfg.StateDir, "jobs", id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return jobRecord{}, fmt.Errorf("serve: %w", err)
 	}
 	if err := checkpoint.WriteBytes(filepath.Join(dir, "spec.json"), raw); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return jobRecord{}, fmt.Errorf("serve: %w", err)
 	}
 	j := &Job{
 		id: id, dir: dir, spec: spec, bcast: newBroadcaster(),
@@ -320,7 +321,7 @@ func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, erro
 	err := j.persistLocked()
 	j.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return jobRecord{}, fmt.Errorf("serve: %w", err)
 	}
 
 	s.mu.Lock()
@@ -328,18 +329,20 @@ func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, erro
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 
+	accepted := j.record()
 	select {
 	case s.queue <- j:
 		s.metrics.submitted.Inc()
 		s.metrics.queued.Add(1)
-		return j, nil
+		return accepted, nil
 	default:
 		j.mu.Lock()
 		j.rec.Status = StatusFailed
 		j.rec.Error = "queue full at submission"
 		_ = j.persistLocked()
 		j.mu.Unlock()
-		return nil, errQueueFull
+		j.bcast.finish()
+		return jobRecord{}, errQueueFull
 	}
 }
 
@@ -483,22 +486,15 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finishJob records a terminal status, writes the rendered result files
-// on success, and ends the SSE stream.
+// on success, and ends the SSE stream. The outcome counter moves before
+// the status is published, so a client that reads the terminal status
+// also finds the job counted in /metrics.
 func (s *Server) finishJob(j *Job, st Status, cause error, res *scenario.Result) {
 	if res != nil {
 		if err := writeResults(j.dir, res); err != nil && cause == nil {
 			st, cause = StatusFailed, err
 		}
 	}
-	j.mu.Lock()
-	j.rec.Status = st
-	now := time.Now().UTC()
-	j.rec.Finished = &now
-	if cause != nil {
-		j.rec.Error = cause.Error()
-	}
-	_ = j.persistLocked()
-	j.mu.Unlock()
 	switch st {
 	case StatusDone:
 		s.metrics.done.Inc()
@@ -509,6 +505,15 @@ func (s *Server) finishJob(j *Job, st Status, cause error, res *scenario.Result)
 	case StatusSuspended:
 		s.metrics.suspended.Inc()
 	}
+	j.mu.Lock()
+	j.rec.Status = st
+	now := time.Now().UTC()
+	j.rec.Finished = &now
+	if cause != nil {
+		j.rec.Error = cause.Error()
+	}
+	_ = j.persistLocked()
+	j.mu.Unlock()
 	j.bcast.finish()
 }
 

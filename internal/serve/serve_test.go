@@ -124,6 +124,12 @@ func submit(t *testing.T, ts *httptest.Server, spec string) string {
 	return rec.ID
 }
 
+// terminal reports whether a job in status s will not move on within
+// this daemon process.
+func (s Status) terminal() bool {
+	return s == StatusDone || s == StatusFailed || s == StatusCanceled || s == StatusSuspended
+}
+
 // waitStatus polls the status endpoint until the job reaches want.
 func waitStatus(t *testing.T, ts *httptest.Server, id string, want Status) jobRecord {
 	t.Helper()
@@ -415,7 +421,7 @@ func TestSubmitValidation(t *testing.T) {
 // SSE stream depends on: journal flushes split lines arbitrarily.
 func TestBroadcasterReassemblesLines(t *testing.T) {
 	b := newBroadcaster()
-	history, ch, id := b.subscribe()
+	history, ch, id, _ := b.subscribe()
 	defer b.unsubscribe(id)
 	if len(history) != 0 {
 		t.Fatalf("fresh broadcaster has %d history lines", len(history))
@@ -439,13 +445,158 @@ func TestBroadcasterReassemblesLines(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
-	// Late subscribers replay the full history from a closed channel.
-	history, ch2, id2 := b.subscribe()
-	defer b.unsubscribe(id2)
-	if len(history) != 3 {
-		t.Errorf("late subscriber got %d history lines, want 3", len(history))
+	// Finishing releases the history; late subscribers are told to
+	// replay the on-disk journal instead.
+	if b.lines != nil {
+		t.Errorf("finished broadcaster still holds %d history lines", len(b.lines))
 	}
-	if _, open := <-ch2; open {
-		t.Error("late subscriber channel still open after finish")
+	if history, _, _, live := b.subscribe(); live || history != nil {
+		t.Errorf("late subscribe: live=%v with %d history lines, want not live", live, len(history))
+	}
+}
+
+// TestLateSubscriberReplaysJournal pins the subscriber that arrives
+// after the job finished: the broadcaster has released the job's history
+// by then, and the stream must still carry every journal row and the end
+// frame, served from the on-disk journal.
+func TestLateSubscriberReplaysJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newServer(t, dir, nil)
+	id := submit(t, ts, specJSON)
+	waitStatus(t, ts, id, StatusDone)
+
+	// The status turns done just before the broadcaster finishes.
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j.bcast.mu.Lock()
+		held, closed := len(j.bcast.lines), j.bcast.closed
+		j.bcast.mu.Unlock()
+		if closed {
+			if held != 0 {
+				t.Fatalf("finished job's broadcaster still holds %d history lines", held)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("broadcaster never finished after the job was done")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	lines, endStatus := readSSE(t, ts.URL+"/v1/jobs/"+id+"/events")
+	if endStatus != string(StatusDone) {
+		t.Fatalf("stream ended with status %q", endStatus)
+	}
+	want := journalLines(t, dir, id)
+	if len(want) == 0 || fmt.Sprint(lines) != fmt.Sprint(want) {
+		t.Fatalf("late subscriber streamed %d rows, journal has %d (or the rows differ)", len(lines), len(want))
+	}
+}
+
+// TestQueueFullJobStreamEnds pins the SSE stream of a job rejected at a
+// full queue: it is registered as failed without ever running, and its
+// stream must end at once with the failed status rather than wait for
+// lines that never come.
+func TestQueueFullJobStreamEnds(t *testing.T) {
+	release := make(chan struct{})
+	s, err := New(Config{
+		StateDir:      t.TempDir(),
+		MaxConcurrent: 1,
+		QueueDepth:    1,
+		// Hold the first job in its worker so the second fills the queue.
+		wrapJobCtx: func(ctx context.Context) context.Context { <-release; return ctx },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { _ = s.Close() })
+	t.Cleanup(func() { close(release) })
+
+	submit(t, ts, specJSON) // job-000000, taken by the worker
+	deadline := time.Now().Add(30 * time.Second)
+	for len(s.queue) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never took the first job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	submit(t, ts, specJSON) // job-000001, fills the queue
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("third submit: %s, want 503", resp.Status)
+	}
+	lines, endStatus := readSSE(t, ts.URL+"/v1/jobs/job-000002/events")
+	if endStatus != string(StatusFailed) || len(lines) != 0 {
+		t.Fatalf("rejected job's stream: status %q, %d rows; want failed, none", endStatus, len(lines))
+	}
+}
+
+// TestSubmitReturnsAcceptedRecord pins the record POST /v1/jobs answers
+// with: submit snapshots it before the enqueue, so it says "queued" even
+// when a worker takes the job at once. Reading the record after the
+// enqueue raced the worker, and the tests' submit helper, which expects
+// "queued", then failed on "running". Here the job runs to completion
+// before the returned record is checked.
+func TestSubmitReturnsAcceptedRecord(t *testing.T) {
+	s, ts := newServer(t, t.TempDir(), nil)
+	spec, err := scenario.Parse(strings.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.submit([]byte(specJSON), spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, ts, rec.ID, StatusDone)
+	if rec.Status != StatusQueued {
+		t.Fatalf("submit returned status %q, want %q", rec.Status, StatusQueued)
+	}
+}
+
+// TestOutcomeCountedBeforeStatus pins finishJob's order: the outcome
+// counter moves before the terminal status is published, so a client
+// that reads "done" also finds the job in serve_jobs_done_total. The test
+// holds the job's lock, which finishJob needs to publish the status, and
+// the counter must move anyway.
+func TestOutcomeCountedBeforeStatus(t *testing.T) {
+	s, err := New(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	j := &Job{id: "job-x", dir: t.TempDir(), bcast: newBroadcaster(),
+		rec: jobRecord{ID: "job-x", Status: StatusRunning}}
+
+	j.mu.Lock()
+	finished := make(chan struct{})
+	go func() {
+		s.finishJob(j, StatusDone, nil, nil)
+		close(finished)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.metrics.done.Value() == 0 {
+		if time.Now().After(deadline) {
+			j.mu.Unlock()
+			<-finished
+			t.Fatal("serve_jobs_done_total did not move before finishJob published the status")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if j.rec.Status != StatusRunning {
+		t.Errorf("status %q published while the test held the job lock", j.rec.Status)
+	}
+	j.mu.Unlock()
+	<-finished
+	if st := j.record().Status; st != StatusDone {
+		t.Fatalf("finished job has status %q, want %q", st, StatusDone)
 	}
 }

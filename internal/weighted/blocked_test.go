@@ -5,7 +5,8 @@ package weighted
 // test re-implements the scalar reference round — per-player
 // Reset3 + rand.Rand draws, round-start link-latency cache, apply in
 // player order — and pins the engine against it, trajectory-for-
-// trajectory, at several player counts (power-of-two and not) and worker
+// trajectory, at several player counts (power-of-two and not, within one
+// prng.Tile and spanning several tiles with a ragged last one) and worker
 // counts.
 
 import (
@@ -55,7 +56,7 @@ func scalarStep(st *State, proto *Protocol, seed uint64, round int) int {
 }
 
 func TestEngineBlockedDecideMatchesScalar(t *testing.T) {
-	for _, n := range []int{256, 250, 509} {
+	for _, n := range []int{256, 250, 509, 3*prng.Tile + 517} {
 		for _, workers := range []int{1, 2, 3} {
 			fns := make([]latency.Function, 12)
 			for e := range fns {

@@ -21,10 +21,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"congame/internal/latency"
+	"congame/internal/pool"
 	"congame/internal/prng"
 )
 
@@ -355,12 +355,13 @@ func NewProtocol(g *Game, lambda, nu float64) (*Protocol, error) {
 //
 // With k > 1 workers (the GOMAXPROCS default; see WithWorkers) the
 // decision phase is sharded across k goroutines over contiguous player
-// ranges; every decision is a pure function of the round-start state and
-// its (seed, round, player) stream, so the trajectory is bit-identical
-// for every worker count. The apply
-// phase stays sequential in player order: link loads are float weight
-// sums, so the accumulation order is part of the determinism contract,
-// and the per-move work is O(1) anyway.
+// ranges — the caller's own plus k−1 persistent pool.Pool workers, so a
+// round allocates nothing after warm-up, as in core.Engine; every
+// decision is a pure function of the round-start state and its (seed,
+// round, player) stream, so the trajectory is bit-identical for every
+// worker count. The apply phase stays sequential in player order: link
+// loads are float weight sums, so the accumulation order is part of the
+// determinism contract, and the per-move work is O(1) anyway.
 type Engine struct {
 	st      *State
 	proto   *Protocol
@@ -371,6 +372,7 @@ type Engine struct {
 	targets []int32       // reusable decision buffer
 	blocks  []*prng.Block // one batched PRNG block per worker
 	timer   func(StepTimings)
+	pool    *pool.Pool[decideJob] // nil until the first sharded Step
 }
 
 // StepTimings carries the wall-clock durations of one weighted Step's
@@ -443,17 +445,38 @@ func (e *Engine) block(w int) *prng.Block {
 	return e.blocks[w]
 }
 
+// decideJob is one pool worker's shard of a round's decide phase.
+type decideJob struct {
+	e         *Engine
+	lo, hi, n int
+	blk       *prng.Block
+}
+
+// Run decides the job's shard on a pool worker.
+func (j decideJob) Run() { j.e.decideRange(j.lo, j.hi, j.n, j.blk) }
+
 // decideRange fills the decision buffer for players [lo, hi) against the
-// round-start state. Like the core engine's imitation kernels, the
-// per-player (seed, round, i) streams are batch-generated into the
-// worker's block and consumed with math/rand's derivation formulas
-// inlined (Int31 = int32(u64 >> 33), Float64 = float64(int64(u64 >> 1))
-// / 2^63); the rare draws the formulas cannot serve — Int31n rejection,
-// the Float64 resample-on-1.0 — replay the player through a cursor from
-// draw 0, so values and stream consumption match the scalar
-// Reset3 + rand.Rand path bit for bit (pinned by
+// round-start state, one prng.Tile of players at a time so the worker's
+// block never holds more than one tile. Like the core engine's imitation
+// kernels, the per-player (seed, round, i) streams are batch-generated
+// into the worker's block: Block.Gather turns each first draw into the
+// sampled peer's link, and the second is read as Float64 =
+// float64(int64(u64 >> 1)) / 2^63. The rare draws these cannot serve —
+// Int31n rejection, the Float64 resample-on-1.0 — replay the player
+// through a cursor from draw 0, so values and stream consumption match
+// the scalar Reset3 + rand.Rand path bit for bit (pinned by
 // TestEngineBlockedDecideMatchesScalar).
 func (e *Engine) decideRange(lo, hi, n int, blk *prng.Block) {
+	for t := lo; t < hi; t += prng.Tile {
+		e.decideTile(t, min(t+prng.Tile, hi), n, blk)
+	}
+}
+
+// decideTile decides one tile in the core kernels' two passes: the
+// branch-free Block.Gather of every player's sampled peer link (-1 marks
+// an Int31n rejection), then the decision body against the gathered
+// links.
+func (e *Engine) decideTile(lo, hi, n int, blk *prng.Block) {
 	blk.Fill(e.seed, uint64(e.round), lo, hi)
 	nu := e.proto.nu
 	scale := e.proto.lambda / e.st.g.d
@@ -465,27 +488,19 @@ func (e *Engine) decideRange(lo, hi, n int, blk *prng.Block) {
 		}
 		return
 	}
-	raw := blk.Raw()
-	n32 := int32(n)
-	pow2 := n32&(n32-1) == 0
-	mask := n32 - 1
-	maxv := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
-	for i := lo; i < hi; i++ {
+	assign := e.st.assign
+	peers := blk.Gather(assign, n)
+	raw := blk.Raw()[:2*len(peers)]
+	for k, target32 := range peers {
+		i := lo + k
 		e.targets[i] = -1
-		base := (i - lo) * 2
-		v := int32(raw[base] >> 33)
-		var q int
-		if pow2 {
-			q = int(v & mask)
-		} else if v <= maxv {
-			q = int(v % n32)
-		} else {
+		if target32 < 0 {
 			cur := blk.Cursor(i)
 			e.decidePlayerCursor(i, n, &cur, nu, scale)
 			continue
 		}
-		target := int(e.st.assign[q])
-		from := int(e.st.assign[i])
+		target := int(target32)
+		from := int(assign[i])
 		if target == from {
 			continue
 		}
@@ -494,7 +509,7 @@ func (e *Engine) decideRange(lo, hi, n int, blk *prng.Block) {
 		if gain <= nu || lp <= 0 {
 			continue
 		}
-		f := float64(int64(raw[base+1]>>1)) / (1 << 63)
+		f := float64(int64(raw[2*k+1]>>1)) / (1 << 63)
 		if f == 1 {
 			cur := blk.Cursor(i)
 			e.decidePlayerCursor(i, n, &cur, nu, scale)
@@ -506,7 +521,7 @@ func (e *Engine) decideRange(lo, hi, n int, blk *prng.Block) {
 	}
 }
 
-// decidePlayerCursor is the slow-path twin of decideRange's loop body,
+// decidePlayerCursor is the slow-path twin of decideTile's loop body,
 // replaying one player's decision through a cursor positioned at the
 // player's first draw.
 func (e *Engine) decidePlayerCursor(i, n int, cur *prng.Cursor, nu, scale float64) {
@@ -562,24 +577,18 @@ func (e *Engine) Step() int {
 	if workers <= 1 {
 		e.decideRange(0, n, n, e.block(0))
 	} else {
-		var wg sync.WaitGroup
 		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int, blk *prng.Block) {
-				defer wg.Done()
-				e.decideRange(lo, hi, n, blk)
-			}(lo, hi, e.block(w))
+		used := (n + chunk - 1) / chunk
+		if e.pool == nil {
+			e.pool = pool.New[decideJob]()
 		}
-		wg.Wait()
+		e.pool.Grow(used - 1)
+		blk0 := e.block(0)
+		for w := 1; w < used; w++ {
+			e.pool.Go(decideJob{e: e, lo: w * chunk, hi: min(w*chunk+chunk, n), n: n, blk: e.block(w)})
+		}
+		e.decideRange(0, chunk, n, blk0)
+		e.pool.Wait()
 	}
 	if e.timer != nil {
 		now := time.Now()
