@@ -2,26 +2,27 @@ package scenario
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"congame/internal/checkpoint"
 	"congame/internal/dynamics"
 	"congame/internal/fluid"
-	"congame/internal/obs"
 )
 
 // ErrSuspended reports a checkpointed run that stopped on context
-// cancellation after persisting its progress; invoking RunCheckpointed
-// again with the same spec and state directory resumes it.
+// cancellation after persisting its progress; invoking Run again with the
+// same spec and state directory resumes it.
 var ErrSuspended = errors.New("scenario: run suspended")
 
-// CheckpointConfig configures RunCheckpointed's persistence.
+// CheckpointConfig configures a checkpointed Run's persistence
+// (Options.Checkpoint).
 type CheckpointConfig struct {
 	// Dir is the state directory holding the progress manifest
 	// (checkpoint.json). Required; created if missing.
@@ -145,35 +146,87 @@ type snapRecord struct {
 	Data []byte      `json:"data"`
 }
 
-// manifest is the checkpoint.json schema. The fingerprint fields pin the
-// effective spec the progress belongs to; a resume under a different spec
-// is rejected rather than silently mixing trajectories.
+// manifest is the checkpoint.json schema. Fingerprint pins the effective
+// spec the progress belongs to; a resume under a different spec is
+// rejected rather than silently mixing trajectories.
 type manifest struct {
-	Name     string `json:"name"`
-	Version  int    `json:"version"`
-	Family   string `json:"family"`
-	Dynamics string `json:"dynamics"`
-	Seed     uint64 `json:"seed"`
-	Cells    int    `json:"cells"`
-	Reps     int    `json:"reps"`
-	Rounds   int    `json:"rounds"`
+	Fingerprint string      `json:"fingerprint"`
+	Done        []repRecord `json:"done"`
+	Snap        *snapRecord `json:"snapshot,omitempty"`
 
-	Done []repRecord `json:"done"`
-	Snap *snapRecord `json:"snapshot,omitempty"`
+	path  string // the manifest file inside the state directory
+	every int    // mid-replication snapshot cadence in rounds
 }
 
-func (m *manifest) matches(s *Spec, cells int) error {
-	if m.Name != s.Name || m.Version != s.Version || m.Family != s.Instance.Family ||
-		m.Dynamics != s.Dynamics.Kind || m.Seed != s.Seed || m.Cells != cells ||
-		m.Reps != s.Reps || m.Rounds != s.Rounds {
-		return fmt.Errorf("%w: state directory holds progress for %q (v%d, seed %d, %d cells × %d reps × %d rounds), not this spec",
-			ErrInvalid, m.Name, m.Version, m.Seed, m.Cells, m.Reps, m.Rounds)
+// fingerprint hashes the effective spec's JSON with Par and Workers
+// cleared: both are output-invariant (DESIGN.md §4), so a resume may
+// change them, while a change to any other field changes the trajectories
+// or the table the recorded progress belongs to.
+func fingerprint(s *Spec) (string, error) {
+	f := *s
+	f.Par, f.Workers = 0, 0
+	data, err := json.Marshal(&f)
+	if err != nil {
+		return "", fmt.Errorf("scenario: checkpoint fingerprint: %w", err)
 	}
-	return nil
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
 }
 
-// find returns the completed record for (cell, rep), if any.
+// openManifest loads the manifest in cfg.Dir, or starts an empty one, and
+// checks that it belongs to the effective spec s.
+func openManifest(cfg CheckpointConfig, s *Spec) (*manifest, error) {
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("%w: checkpointed run needs a state directory", ErrInvalid)
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	fp, err := fingerprint(s)
+	if err != nil {
+		return nil, err
+	}
+	path := filepath.Join(cfg.Dir, manifestName)
+	m, err := loadManifest(path)
+	if err != nil {
+		return nil, err
+	}
+	if m == nil {
+		m = &manifest{Fingerprint: fp}
+	} else if m.Fingerprint != fp {
+		// A manifest without a fingerprint was written by an older build;
+		// it is rejected the same way.
+		return nil, fmt.Errorf("%w: state directory %s holds progress for a different spec, or from an older manifest format, not this spec", ErrInvalid, cfg.Dir)
+	}
+	m.path = path
+	m.every = cfg.Every
+	if m.every <= 0 {
+		m.every = DefaultCheckpointEvery
+	}
+	// The traced replication must re-run on resume so the recorder holds
+	// the full trajectory; determinism makes the re-run result identical
+	// to the recorded one, so dropping the record is safe.
+	if s.Trace != nil {
+		kept := m.Done[:0]
+		for _, r := range m.Done {
+			if r.Rep != s.Trace.Rep {
+				kept = append(kept, r)
+			}
+		}
+		m.Done = kept
+		if m.Snap != nil && m.Snap.Rep == s.Trace.Rep {
+			m.Snap = nil
+		}
+	}
+	return m, nil
+}
+
+// find returns the completed record for (cell, rep), if any; a nil
+// manifest (checkpointing off) holds none.
 func (m *manifest) find(cell, rep int) *repRecord {
+	if m == nil {
+		return nil
+	}
 	for i := range m.Done {
 		if m.Done[i].Cell == cell && m.Done[i].Rep == rep {
 			return &m.Done[i]
@@ -182,14 +235,51 @@ func (m *manifest) find(cell, rep int) *repRecord {
 	return nil
 }
 
+// record appends a completed replication (with its drift summary when
+// drifts is non-nil), drops its in-flight snapshot, and saves.
+func (m *manifest) record(cell, rep int, res dynamics.RunResult, drifts []fluid.Drift) error {
+	rec := repRecord{Cell: cell, Rep: rep, Result: toRunRecord(res)}
+	if drifts != nil {
+		dr := toDriftRecord(drifts[rep])
+		rec.Drift = &dr
+	}
+	m.Done = append(m.Done, rec)
+	if m.Snap != nil && m.Snap.Cell == cell && m.Snap.Rep == rep {
+		m.Snap = nil
+	}
+	return m.save()
+}
+
+// inflight returns the decoded snapshot of (cell, rep), or nil when the
+// manifest holds none. A snapshot that fails to decode (CRC mismatch,
+// truncation, unknown format version) is dropped, so its replication
+// re-runs from round 0 instead of failing every later resume.
+func (m *manifest) inflight(cell, rep int) *checkpoint.Snapshot {
+	if m.Snap == nil || m.Snap.Cell != cell || m.Snap.Rep != rep {
+		return nil
+	}
+	snap, err := checkpoint.Decode(m.Snap.Data)
+	if err != nil {
+		m.Snap = nil
+		return nil
+	}
+	return snap
+}
+
+// persist stores a mid-replication snapshot and saves.
+func (m *manifest) persist(snap *checkpoint.Snapshot, cell, rep int, last dynamics.RoundStats) error {
+	m.Snap = &snapRecord{Cell: cell, Rep: rep, Last: toStatsRecord(last), Data: snap.Encode()}
+	return m.save()
+}
+
 // save atomically replaces the manifest file (temp + fsync + rename, the
 // same protocol as checkpoint.WriteFile).
-func (m *manifest) save(path string) error {
+func (m *manifest) save() error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("scenario: checkpoint manifest: %w", err)
 	}
-	if err := checkpoint.WriteBytes(path, data); err != nil {
+	if err := checkpoint.WriteBytes(m.path, data); err != nil {
 		return fmt.Errorf("scenario: checkpoint manifest: %w", err)
 	}
 	return nil
@@ -208,188 +298,6 @@ func loadManifest(path string) (*manifest, error) {
 		return nil, fmt.Errorf("scenario: checkpoint manifest %s: %w", path, err)
 	}
 	return m, nil
-}
-
-// RunCheckpointed executes the spec like Run but persists progress into
-// cfg.Dir so an interrupted run resumes where it left off, producing a
-// table byte-identical to an uninterrupted Run of the same spec.
-//
-// Granularity: completed replications are recorded in the manifest and
-// never re-executed. Within an in-flight replication of the engine and
-// fluid families a binary snapshot (internal/checkpoint) is written every
-// cfg.Every rounds and on context cancellation, and a resume restores it
-// and continues bit-identically — including the "quiet" stop condition,
-// whose trailing zero-migration streak rides along in the snapshot.
-// Sequential-family replications, the traced replication, and
-// drift-tracked replications re-run from round 0 on resume (their
-// observer state is not snapshotted); determinism makes the re-run
-// bit-identical, it just repeats work.
-//
-// Replications run sequentially (the spec's par is ignored); the engine
-// worker count is unconstrained because trajectories are worker-invariant.
-// On cancellation the error wraps both ErrSuspended and ctx.Err().
-func RunCheckpointed(ctx context.Context, spec *Spec, opts Options, cfg CheckpointConfig) (*Result, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("%w: nil spec", ErrInvalid)
-	}
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("%w: checkpointed run needs a state directory", ErrInvalid)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	every := cfg.Every
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-
-	s := spec.Effective(opts.Quick)
-	s.Par = 1 // sequential by construction; output is par-invariant anyway
-	if opts.Workers != 0 {
-		s.Workers = opts.Workers
-	}
-	cells, err := Grid(s, false)
-	if err != nil {
-		return nil, err
-	}
-
-	mpath := filepath.Join(cfg.Dir, manifestName)
-	m, err := loadManifest(mpath)
-	if err != nil {
-		return nil, err
-	}
-	if m == nil {
-		m = &manifest{
-			Name: s.Name, Version: s.Version, Family: s.Instance.Family,
-			Dynamics: s.Dynamics.Kind, Seed: s.Seed, Cells: len(cells),
-			Reps: s.Reps, Rounds: s.Rounds,
-		}
-	} else if err := m.matches(s, len(cells)); err != nil {
-		return nil, err
-	}
-	// The traced replication must re-run on resume so the recorder holds
-	// the full trajectory; determinism makes the re-run result identical
-	// to the recorded one, so dropping the record is safe.
-	if s.Trace != nil {
-		kept := m.Done[:0]
-		for _, r := range m.Done {
-			if r.Rep != s.Trace.Rep {
-				kept = append(kept, r)
-			}
-		}
-		m.Done = kept
-		if m.Snap != nil && m.Snap.Rep == s.Trace.Rep {
-			m.Snap = nil
-		}
-	}
-
-	var sm *obs.SweepMetrics
-	if opts.Registry != nil {
-		sm = obs.NewSweepMetrics(opts.Registry)
-		sm.CellsTotal.Set(float64(len(cells)))
-	}
-	if opts.Journal != nil {
-		opts.Journal.RunStart(s.Name, len(cells), s.Reps)
-	}
-	runStart := time.Now()
-
-	res := &Result{Spec: s, Table: s.tableSkeleton()}
-	for _, cell := range cells {
-		if opts.Journal != nil {
-			opts.Journal.CellStart(cell.Index, cell.Label())
-		}
-		cellStart := time.Now()
-		cr, err := s.runCellCheckpointed(ctx, cell, opts, m, mpath, every)
-		if err != nil {
-			if errors.Is(err, ErrSuspended) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("scenario: %s cell %d (%s): %w", s.Name, cell.Index, cell.Label(), err)
-		}
-		elapsed := time.Since(cellStart)
-		if sm != nil {
-			sm.CellsDone.Inc()
-			sm.RepsDone.Add(uint64(s.Reps))
-			sm.CellSeconds.ObserveDuration(elapsed)
-		}
-		if opts.Journal != nil {
-			opts.Journal.CellFinish(cell.Index, s.Reps, elapsed.Seconds())
-		}
-		res.Cells = append(res.Cells, cr)
-		if err := s.addRow(&res.Table, &res.Cells[len(res.Cells)-1]); err != nil {
-			return nil, err
-		}
-	}
-	res.Table.AddNote("scenario %s v%d: %d cells × %d reps, seed %d, dynamics %s on %s",
-		s.Name, s.Version, len(cells), s.Reps, s.Seed, s.Dynamics.Kind, s.Instance.Family)
-	if opts.Journal != nil {
-		opts.Journal.RunFinish(time.Since(runStart).Seconds())
-		if err := opts.Journal.Err(); err != nil {
-			return nil, fmt.Errorf("scenario: journal: %w", err)
-		}
-	}
-	if sm != nil {
-		sm.RunComplete.Set(1)
-	}
-	return res, nil
-}
-
-// runCellCheckpointed executes one cell's replications sequentially,
-// skipping completed ones, resuming a snapshotted one, and appending each
-// finished replication to the manifest.
-func (s *Spec) runCellCheckpointed(ctx context.Context, cell Cell, opts Options, m *manifest, mpath string, every int) (CellResult, error) {
-	c, err := s.newCellRun(cell, opts.Registry, opts.Journal)
-	if err != nil {
-		return CellResult{}, err
-	}
-	results := make([]dynamics.RunResult, s.Reps)
-	var drifts []fluid.Drift
-	if s.wantsDrift() {
-		drifts = make([]fluid.Drift, s.Reps)
-	}
-	for rep := 0; rep < s.Reps; rep++ {
-		if rec := m.find(cell.Index, rep); rec != nil {
-			results[rep] = rec.Result.result()
-			if drifts != nil {
-				if rec.Drift == nil {
-					return CellResult{}, fmt.Errorf("%w: manifest record for cell %d rep %d lacks the drift summary this spec needs", ErrInvalid, cell.Index, rep)
-				}
-				drifts[rep] = rec.Drift.drift()
-			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return CellResult{}, fmt.Errorf("%w at cell %d rep %d: %w", ErrSuspended, cell.Index, rep, err)
-		}
-
-		d, err := c.build(rep)
-		if err != nil {
-			return CellResult{}, err
-		}
-		res, err := s.runRep(ctx, cell, rep, d, c, m, mpath, every)
-		if err != nil {
-			return CellResult{}, err
-		}
-		results[rep] = res
-
-		rec := repRecord{Cell: cell.Index, Rep: rep, Result: toRunRecord(res)}
-		if drifts != nil {
-			drifts[rep] = c.trackers[rep].Drift()
-			dr := toDriftRecord(drifts[rep])
-			rec.Drift = &dr
-		}
-		m.Done = append(m.Done, rec)
-		if m.Snap != nil && m.Snap.Cell == cell.Index && m.Snap.Rep == rep {
-			m.Snap = nil
-		}
-		if err := m.save(mpath); err != nil {
-			return CellResult{}, err
-		}
-	}
-	return s.assembleCell(cell, results, c.recorder, drifts)
 }
 
 // snapshottable returns the capture half of the checkpoint pair for
@@ -425,44 +333,22 @@ func totalMoves(d dynamics.Dynamics) int {
 	return 0
 }
 
-// runRep executes one replication to completion, writing mid-run
-// snapshots where the family supports them and resuming from the
-// manifest's snapshot when it belongs to this (cell, rep).
-func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynamics, c *cellRun, m *manifest, mpath string, every int) (dynamics.RunResult, error) {
-	stop := c.stops[rep]
-	capture := snapshottable(d)
-	// The traced and drift-tracked replications accumulate observer state
-	// a snapshot does not capture; they run whole (and re-run on resume).
-	if c.recorder != nil && rep == s.Trace.Rep {
-		capture = nil
-	}
-	if c.trackers != nil {
-		capture = nil
-	}
-	// Families without snapshot support (and the observer-laden
-	// replications above) run whole through their own Run — the sequential
-	// adapter has absorption semantics a manual step loop would not
-	// reproduce. Interruption granularity for them is the replication.
-	if capture == nil {
-		return d.Run(s.Rounds, stop), nil
-	}
-
+// runStepped executes one replication to completion through a manual step
+// loop that writes a snapshot every m.every rounds and on cancellation,
+// resuming from the manifest's snapshot when it belongs to this (cell,
+// rep). It polls ctx once per round.
+func (c *cellRun) runStepped(ctx context.Context, rep int, d dynamics.Dynamics, stop dynamics.StopCondition, capture func(quietStreak int) *checkpoint.Snapshot) (dynamics.RunResult, error) {
+	s, m, cell := c.s, c.m, c.cell.Index
 	rounds, streak := 0, 0
 	var last dynamics.RoundStats
-	resuming := false
 
-	if m.Snap != nil && m.Snap.Cell == cell.Index && m.Snap.Rep == rep {
-		snap, err := checkpoint.Decode(m.Snap.Data)
-		if err != nil {
-			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d snapshot: %w", cell.Index, rep, err)
-		}
+	if snap := m.inflight(cell, rep); snap != nil {
 		if err := c.restoreDynamics(d, snap); err != nil {
-			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d: %w", cell.Index, rep, err)
+			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d: %w", cell, rep, err)
 		}
 		rounds = int(snap.Round)
 		streak = int(snap.QuietStreak)
 		last = m.Snap.Last.stats()
-		resuming = true
 		// Re-prime the only stateful stop condition: feed the fresh
 		// "quiet" counter the trailing zero-migration streak the
 		// interrupted run had seen. The streak is strictly below the stop
@@ -473,18 +359,13 @@ func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynami
 				stop(d, dynamics.RoundStats{Movers: 0})
 			}
 		}
-	}
-
-	if !resuming {
+	} else {
 		// The pre-run stop probe, exactly as Dynamics.Run performs it
 		// (and with its early-return RunResult). A resumed run skips the
 		// probe: its original run already performed it, and the families'
 		// probe guards key off Round < 0, which no longer holds.
 		probe := d.Run(0, stop)
-		if probe.Converged {
-			return probe, nil
-		}
-		if s.Rounds <= 0 {
+		if probe.Converged || s.Rounds <= 0 {
 			return probe, nil
 		}
 		last = probe.Final
@@ -493,10 +374,10 @@ func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynami
 	converged := false
 	for rounds < s.Rounds {
 		if err := ctx.Err(); err != nil {
-			if serr := persistSnapshot(capture(streak), cell.Index, rep, last, m, mpath); serr != nil {
+			if serr := m.persist(capture(streak), cell, rep, last); serr != nil {
 				return dynamics.RunResult{}, serr
 			}
-			return dynamics.RunResult{}, fmt.Errorf("%w at cell %d rep %d round %d: %w", ErrSuspended, cell.Index, rep, rounds, err)
+			return dynamics.RunResult{}, fmt.Errorf("%w at cell %d rep %d round %d: %w", ErrSuspended, cell, rep, rounds, err)
 		}
 		last = d.Step()
 		rounds++
@@ -509,18 +390,11 @@ func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynami
 			converged = true
 			break
 		}
-		if rounds%every == 0 && rounds < s.Rounds {
-			if err := persistSnapshot(capture(streak), cell.Index, rep, last, m, mpath); err != nil {
+		if rounds%m.every == 0 && rounds < s.Rounds {
+			if err := m.persist(capture(streak), cell, rep, last); err != nil {
 				return dynamics.RunResult{}, err
 			}
 		}
 	}
 	return dynamics.RunResult{Rounds: rounds, Converged: converged, TotalMoves: totalMoves(d), Final: last}, nil
-}
-
-// persistSnapshot stores a mid-replication snapshot in the manifest and
-// writes it out atomically.
-func persistSnapshot(snap *checkpoint.Snapshot, cell, rep int, last dynamics.RoundStats, m *manifest, mpath string) error {
-	m.Snap = &snapRecord{Cell: cell, Rep: rep, Last: toStatsRecord(last), Data: snap.Encode()}
-	return m.save(mpath)
 }

@@ -7,11 +7,13 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"congame/internal/dynamics"
 	"congame/internal/events"
+	"congame/internal/workload"
 )
 
 // ckptSpec is an eventful exact-engine spec with a quiet stop and a sweep
@@ -41,7 +43,7 @@ func ckptSpec() *Spec {
 }
 
 // limitedCtx reports cancellation after a fixed number of Err polls — a
-// deterministic kill for RunCheckpointed, which only ever consults
+// deterministic kill for a checkpointed Run, which only ever consults
 // ctx.Err() (never Done), so the poll count fully determines where the
 // run is interrupted.
 type limitedCtx struct {
@@ -57,7 +59,7 @@ func (c *limitedCtx) Err() error {
 	return nil
 }
 
-// suspendAndResume drives RunCheckpointed to completion through repeated
+// suspendAndResume drives a checkpointed Run to completion through repeated
 // deterministic kills: each attempt gets `polls` ctx.Err() calls before
 // the context cancels, so the run is interrupted — and resumed — at
 // every few rounds of every replication. Returns the completed result
@@ -67,7 +69,7 @@ func suspendAndResume(t *testing.T, spec *Spec, dir string, every, polls int) (*
 	cfg := CheckpointConfig{Dir: dir, Every: every}
 	for attempt := 0; attempt < 2000; attempt++ {
 		ctx := &limitedCtx{Context: context.Background(), limit: int64(polls)}
-		res, err := RunCheckpointed(ctx, spec, Options{}, cfg)
+		res, err := Run(ctx, spec, Options{Checkpoint: &cfg})
 		if err == nil {
 			return res, attempt
 		}
@@ -135,7 +137,7 @@ func assertSameResult(t *testing.T, got, want *Result) {
 }
 
 // TestCheckpointedFreshMatchesRun: with no interruption at all,
-// RunCheckpointed must reproduce Run exactly (probe semantics, stop
+// a checkpointed Run must reproduce Run exactly (probe semantics, stop
 // evaluation order, and final-stats shape all ride through the manual
 // step loop).
 func TestCheckpointedFreshMatchesRun(t *testing.T) {
@@ -144,7 +146,7 @@ func TestCheckpointedFreshMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	got, err := RunCheckpointed(context.Background(), ckptSpec(), Options{}, CheckpointConfig{Dir: dir, Every: 5})
+	got, err := Run(context.Background(), ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestCheckpointedSequentialRepGranularity(t *testing.T) {
 
 	dir := t.TempDir()
 	ctx := &limitedCtx{Context: context.Background(), limit: 1}
-	if _, err := RunCheckpointed(ctx, spec(), Options{}, CheckpointConfig{Dir: dir}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, spec(), Options{Checkpoint: &CheckpointConfig{Dir: dir}}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("one-poll attempt did not suspend: %v", err)
 	}
 	m, err := loadManifest(filepath.Join(dir, manifestName))
@@ -298,13 +300,111 @@ func TestCheckpointedTracedRepResumes(t *testing.T) {
 func TestCheckpointedRejectsSpecMismatch(t *testing.T) {
 	dir := t.TempDir()
 	ctx := &limitedCtx{Context: context.Background(), limit: 3}
-	if _, err := RunCheckpointed(ctx, ckptSpec(), Options{}, CheckpointConfig{Dir: dir, Every: 5}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("seed run did not suspend: %v", err)
 	}
 	other := ckptSpec()
 	other.Seed = 6
-	_, err := RunCheckpointed(context.Background(), other, Options{}, CheckpointConfig{Dir: dir, Every: 5})
+	_, err := Run(context.Background(), other, Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("mismatched spec accepted: %v", err)
+	}
+	// The fingerprint covers the whole spec, not just its headline fields.
+	for _, c := range []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"quiet-stop rounds", func(s *Spec) { s.Stop.Params["rounds"] = 6 }},
+		{"event factor", func(s *Spec) { s.Events[2].Factor = 1.6 }},
+		{"sweep value", func(s *Spec) { s.Sweep[0].Values[1] = 50 }},
+	} {
+		other := ckptSpec()
+		c.edit(other)
+		if _, err := Run(context.Background(), other, Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}}); !errors.Is(err, ErrInvalid) {
+			t.Errorf("spec with another %s accepted: %v", c.name, err)
+		}
+	}
+	// Workers is output-invariant, so a resume may change it.
+	want, err := Run(context.Background(), ckptSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := ckptSpec()
+	resumed.Workers = 2
+	got, err := Run(context.Background(), resumed, Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}})
+	if err != nil {
+		t.Fatalf("resume with another worker count rejected: %v", err)
+	}
+	assertSameResult(t, got, want)
+}
+
+// TestCheckpointedCorruptSnapshotRestarts: a snapshot that fails its CRC
+// check is dropped and its replication re-runs from round 0, so the resume
+// still matches an uninterrupted run instead of failing on every attempt.
+func TestCheckpointedCorruptSnapshotRestarts(t *testing.T) {
+	want, err := Run(context.Background(), ckptSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := CheckpointConfig{Dir: dir, Every: 5}
+	ctx := &limitedCtx{Context: context.Background(), limit: 10}
+	if _, err := Run(ctx, ckptSpec(), Options{Checkpoint: &cfg}); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("seed run did not suspend: %v", err)
+	}
+	path := filepath.Join(dir, manifestName)
+	m, err := loadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m == nil || m.Snap == nil {
+		t.Fatal("suspended run left no mid-replication snapshot")
+	}
+	m.Snap.Data[len(m.Snap.Data)/2] ^= 0xff
+	m.path = path
+	if err := m.save(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), ckptSpec(), Options{Checkpoint: &cfg})
+	if err != nil {
+		t.Fatalf("resume over a corrupt snapshot failed: %v", err)
+	}
+	assertSameResult(t, got, want)
+}
+
+// errDynamics runs like the dynamics it wraps, then reports a failure
+// through Err(), as a sequential dynamics does when its policy fails.
+type errDynamics struct{ dynamics.Dynamics }
+
+func (errDynamics) Err() error { return errors.New("policy failed") }
+
+// TestRunFailsOnReplicationErr: a replication whose dynamics reports Err()
+// fails the run, naming the cell, with and without checkpointing, and is
+// never recorded as completed in the manifest.
+func TestRunFailsOnReplicationErr(t *testing.T) {
+	RegisterDynamics(DynKind{
+		Name: "test-err", Desc: "imitation that reports Err()", Group: GroupEngine,
+		Build: func(inst *workload.Instance, p Params, seed uint64, workers int) (Built, error) {
+			b, err := dynKinds["imitation"].Build(inst, p, seed, workers)
+			b.Dyn = errDynamics{b.Dyn}
+			return b, err
+		},
+	})
+	t.Cleanup(func() { delete(dynKinds, "test-err") })
+	spec := minimalSpec()
+	spec.Dynamics = DynamicsSpec{Kind: "test-err"}
+	dir := t.TempDir()
+	for _, opts := range []Options{{}, {Checkpoint: &CheckpointConfig{Dir: dir}}} {
+		_, err := Run(context.Background(), spec, opts)
+		if err == nil || errors.Is(err, ErrSuspended) || !strings.Contains(err.Error(), "cell 0") || !strings.Contains(err.Error(), "policy failed") {
+			t.Errorf("checkpointing %v: error %v does not report the cell's Err()", opts.Checkpoint != nil, err)
+		}
+	}
+	m, err := loadManifest(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != nil && len(m.Done) > 0 {
+		t.Errorf("manifest records %d completed replications of a failed cell", len(m.Done))
 	}
 }

@@ -66,8 +66,8 @@ func registerFluid() {
 }
 
 // driftMetricNames marks the metrics that require the per-replication
-// drift trackers; runCell only pays for the shadow trajectories when one
-// of these appears in the spec.
+// drift trackers; a replication only pays for the shadow trajectory when
+// one of these appears in the spec.
 var driftMetricNames = map[string]bool{}
 
 func registerDriftMetric(name, _ string, pick func(fluid.Drift) float64) {

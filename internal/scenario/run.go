@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
+	"congame/internal/checkpoint"
 	"congame/internal/dynamics"
 	"congame/internal/events"
 	"congame/internal/fluid"
@@ -25,10 +27,11 @@ type Options struct {
 	Par int
 	// Workers overrides the spec's engine worker count when non-zero.
 	Workers int
-	// Registry, when non-nil, collects sweep progress and per-backend
-	// engine metrics for every replication (served live by cmd/sweep's
-	// -metrics-addr exporter). Purely read-only instrumentation: results
-	// are bit-identical with or without it.
+	// Registry, when non-nil, collects sweep progress, runner-pool and
+	// per-backend engine metrics for every replication (served live by
+	// cmd/sweep's -metrics-addr exporter and cmd/serve's /metrics). Purely
+	// read-only instrumentation: results are bit-identical with or without
+	// it.
 	Registry *obs.Registry
 	// Journal, when non-nil, receives the run's NDJSON event stream:
 	// run/cell boundaries and, for each cell's replication 0, per-round
@@ -36,6 +39,10 @@ type Options struct {
 	// the journaled representative to bound journal volume independently
 	// of the replication count.
 	Journal *obs.Journal
+	// Checkpoint, when non-nil, persists the run's progress so an
+	// interrupted run resumes where it left off (see Run); nil runs
+	// without a state directory.
+	Checkpoint *CheckpointConfig
 }
 
 // CellResult is one finished grid cell: the cell, its per-replication
@@ -75,10 +82,28 @@ type Result struct {
 func prngNew(seed uint64) *rand.Rand { return prng.New(seed) }
 
 // Run executes every cell of the spec's grid. Within a cell the
-// replications fan out through runner.Spec across the configured worker
+// replications fan out through runner.Map across the configured worker
 // pool and fold in replication order; cells run sequentially in grid
 // order. Output is bit-identical for every par and workers setting (the
 // determinism contract of DESIGN.md §4/§6).
+//
+// With opts.Checkpoint set, Run persists progress into its state
+// directory, and a later Run of the same spec on that directory resumes
+// where the earlier one stopped, producing a table byte-identical to an
+// uninterrupted run. Completed replications are recorded in the manifest
+// and never re-executed. Within an in-flight replication of the engine and
+// fluid families a binary snapshot (internal/checkpoint) is written every
+// Checkpoint.Every rounds and on context cancellation, and a resume
+// restores it and continues bit-identically — including the "quiet" stop
+// condition, whose trailing zero-migration streak rides along in the
+// snapshot. A snapshot that fails to decode is dropped, and its
+// replication re-runs from round 0. Sequential-family replications, the
+// traced replication, and drift-tracked replications also re-run from
+// round 0 on resume (their observer state is not snapshotted);
+// determinism makes every re-run bit-identical, it just repeats work.
+// Replications run one at a time (the spec's par is ignored, so the
+// manifest holds at most one in-flight snapshot), and on cancellation the
+// error wraps both ErrSuspended and ctx.Err().
 func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("%w: nil spec", ErrInvalid)
@@ -92,6 +117,14 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	}
 	if opts.Workers != 0 {
 		s.Workers = opts.Workers
+	}
+	var m *manifest
+	if opts.Checkpoint != nil {
+		s.Par = 1
+		var err error
+		if m, err = openManifest(*opts.Checkpoint, s); err != nil {
+			return nil, err
+		}
 	}
 	cells, err := Grid(s, false) // quick already applied to s
 	if err != nil {
@@ -115,8 +148,11 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			opts.Journal.CellStart(cell.Index, cell.Label())
 		}
 		cellStart := time.Now()
-		cr, err := s.runCell(ctx, cell, opts.Registry, opts.Journal)
+		cr, err := s.runCell(ctx, cell, opts, m)
 		if err != nil {
+			if errors.Is(err, ErrSuspended) {
+				return nil, err
+			}
 			return nil, fmt.Errorf("scenario: %s cell %d (%s): %w", s.Name, cell.Index, cell.Label(), err)
 		}
 		elapsed := time.Since(cellStart)
@@ -168,38 +204,33 @@ func (s *Spec) engineWorkers() int {
 	return s.Workers
 }
 
-// cellRun bundles one cell's shared construction state — schedule, trace
-// recorder, per-replication stop conditions and drift trackers — so the
-// pooled driver (runCell) and the sequential checkpointing driver
-// (RunCheckpointed) build replications through the identical path.
+// cellRun is one cell's shared construction state: the event schedule,
+// the trace recorder, the observers, and the checkpoint manifest (nil
+// when checkpointing is off).
 type cellRun struct {
 	s        *Spec
 	cell     Cell
 	workers  int
 	sched    *events.Schedule
 	recorder *trace.Recorder
-	// stops[rep] is written by build and read afterwards for the same rep
-	// on the same goroutine (runner.Run calls New and Stop back to back),
-	// so per-replication stop conditions can close over the replication's
-	// own Built context without synchronization. trackers follows the
-	// same discipline (written in build, read only after the rep joins).
-	stops    []dynamics.StopCondition
-	trackers []*fluid.DriftTracker
 	reg      *obs.Registry
 	j        *obs.Journal
+	m        *manifest
 }
 
-// newCellRun prepares the per-cell shared state. The schedule is
-// stateless (per-round application reads only the passed state), so one
-// instance is shared by every replication; the per-instance validation
-// happens inside SetEvents.
-func (s *Spec) newCellRun(cell Cell, reg *obs.Registry, j *obs.Journal) (*cellRun, error) {
-	c := &cellRun{s: s, cell: cell, workers: s.engineWorkers(), reg: reg, j: j}
+// runCell executes the cell's replications that the manifest does not
+// already hold through runner.Map, and folds all of them, in replication
+// order, into the cell's result.
+func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest) (CellResult, error) {
+	c := &cellRun{s: s, cell: cell, workers: s.engineWorkers(), reg: opts.Registry, j: opts.Journal, m: m}
+	// The schedule is stateless (per-round application reads only the
+	// passed state), so one instance is shared by every replication; the
+	// per-instance validation happens inside SetEvents.
 	if len(s.Events) > 0 {
 		var err error
 		c.sched, err = events.NewSchedule(s.Events)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
+			return CellResult{}, fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
 	}
 	if s.Trace != nil {
@@ -210,21 +241,108 @@ func (s *Spec) newCellRun(cell Cell, reg *obs.Registry, j *obs.Journal) (*cellRu
 			c.recorder = trace.NewRecorder()
 		}
 		if err != nil {
-			return nil, err
+			return CellResult{}, err
 		}
 	}
-	c.stops = make([]dynamics.StopCondition, s.Reps)
+
+	results := make([]dynamics.RunResult, s.Reps)
+	var drifts []fluid.Drift
 	if s.wantsDrift() {
-		c.trackers = make([]*fluid.DriftTracker, s.Reps)
+		drifts = make([]fluid.Drift, s.Reps)
 	}
-	return c, nil
+	todo := make([]int, 0, s.Reps)
+	for rep := range s.Reps {
+		rec := m.find(cell.Index, rep)
+		if rec == nil {
+			todo = append(todo, rep)
+			continue
+		}
+		results[rep] = rec.Result.result()
+		if drifts != nil {
+			if rec.Drift == nil {
+				return CellResult{}, fmt.Errorf("%w: manifest record for cell %d rep %d lacks the drift summary this spec needs", ErrInvalid, cell.Index, rep)
+			}
+			drifts[rep] = rec.Drift.drift()
+		}
+	}
+	// Each job writes only its own results and drifts slots, and Map
+	// returns after every job has finished.
+	_, err := runner.Map(ctx, len(todo), s.Par, func(ctx context.Context, i int) (struct{}, error) {
+		return struct{}{}, c.runRep(ctx, todo[i], results, drifts)
+	})
+	if m != nil && !errors.Is(err, ErrSuspended) && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// Map saw the cancellation before starting a replication; every
+		// completed one is already in the manifest.
+		return CellResult{}, fmt.Errorf("%w at cell %d: %w", ErrSuspended, cell.Index, err)
+	}
+	if err != nil {
+		return CellResult{}, err
+	}
+
+	rounds := make([]float64, len(results))
+	for i, r := range results {
+		rounds[i] = float64(r.Rounds)
+	}
+	summary, err := stats.Summarize(rounds)
+	if err != nil {
+		return CellResult{}, err
+	}
+	return CellResult{
+		Cell:    cell,
+		Reps:    s.Reps,
+		Results: results,
+		Rounds:  summary,
+		Agg:     runner.Summarize(results),
+		Trace:   c.recorder,
+		Drifts:  drifts,
+	}, nil
 }
 
-// build constructs one replication's dynamics: instance, dynamics kind,
-// event schedule, instrumentation, stop condition (stored in
-// c.stops[rep]), trace recorder, and drift tracker — the single
-// construction path every driver shares.
-func (c *cellRun) build(rep int) (dynamics.Dynamics, error) {
+// runRep builds replication rep, runs it, checks the dynamics' Err(), and
+// only then records the result: in results[rep] and drifts[rep], and in
+// the manifest when checkpointing.
+func (c *cellRun) runRep(ctx context.Context, rep int, results []dynamics.RunResult, drifts []fluid.Drift) error {
+	d, stop, tracker, err := c.build(rep)
+	if err != nil {
+		return fmt.Errorf("replication %d: %w", rep, err)
+	}
+	// The traced and drift-tracked replications accumulate observer state
+	// a snapshot does not capture; like families without snapshot support,
+	// they run whole through their own Run (the sequential adapter has
+	// absorption semantics a manual step loop would not reproduce), and
+	// their interruption granularity is the replication.
+	var capture func(quietStreak int) *checkpoint.Snapshot
+	if c.m != nil && tracker == nil && !c.traced(rep) {
+		capture = snapshottable(d)
+	}
+	var res dynamics.RunResult
+	if capture != nil {
+		if res, err = c.runStepped(ctx, rep, d, stop, capture); err != nil {
+			return err
+		}
+	} else {
+		res = d.Run(c.s.Rounds, stop)
+	}
+	if e, ok := d.(interface{ Err() error }); ok && e.Err() != nil {
+		return fmt.Errorf("replication %d: %w", rep, e.Err())
+	}
+	results[rep] = res
+	if tracker != nil {
+		drifts[rep] = tracker.Drift()
+	}
+	if c.m == nil {
+		return nil
+	}
+	return c.m.record(c.cell.Index, rep, res, drifts)
+}
+
+// traced reports whether rep is the cell's traced replication.
+func (c *cellRun) traced(rep int) bool { return c.recorder != nil && rep == c.s.Trace.Rep }
+
+// build constructs one replication: instance, dynamics kind, event
+// schedule, instrumentation, stop condition, trace recorder, and drift
+// tracker (nil unless the spec requests a drift metric).
+func (c *cellRun) build(rep int) (dynamics.Dynamics, dynamics.StopCondition, *fluid.DriftTracker, error) {
 	s, cell := c.s, c.cell
 	fam := families[s.Instance.Family]
 	kind := dynKinds[s.Dynamics.Kind]
@@ -232,11 +350,11 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, error) {
 	rng := prng.New(s.InstanceSeed(cell, rep))
 	inst, err := fam.Build(cell.Instance, rng)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	built, err := kind.Build(inst, cell.Dynamics, s.DynamicsSeed(cell, rep), c.workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	// Replication 0 is the journaled representative: its rounds,
 	// phase timings, and event firings stream to the journal.
@@ -260,91 +378,35 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, error) {
 			err = fmt.Errorf("%w: dynamics %s does not support event schedules", ErrInvalid, s.Dynamics.Kind)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 	dynamics.Instrument(built.Dyn, c.reg, repJ, cell.Index, rep)
+	var stop dynamics.StopCondition
 	if s.Stop != nil {
-		stop, err := stopKinds[s.Stop.Kind].Build(cell.Stop, built)
-		if err != nil {
-			return nil, err
+		if stop, err = stopKinds[s.Stop.Kind].Build(cell.Stop, built); err != nil {
+			return nil, nil, nil, err
 		}
-		c.stops[rep] = stop
 	}
-	if c.recorder != nil && rep == s.Trace.Rep {
+	if c.traced(rep) {
 		if obs, ok := built.Dyn.(dynamics.Observable); ok {
 			obs.SetObserver(c.recorder)
 		} else {
-			return nil, fmt.Errorf("%w: dynamics %s cannot record traces", ErrInvalid, s.Dynamics.Kind)
+			return nil, nil, nil, fmt.Errorf("%w: dynamics %s cannot record traces", ErrInvalid, s.Dynamics.Kind)
 		}
 	}
-	if c.trackers != nil {
-		tr, err := newDriftTracker(built, cell.Dynamics, s.DynamicsSeed(cell, rep))
-		if err != nil {
-			return nil, err
+	var tracker *fluid.DriftTracker
+	if s.wantsDrift() {
+		if tracker, err = newDriftTracker(built, cell.Dynamics, s.DynamicsSeed(cell, rep)); err != nil {
+			return nil, nil, nil, err
 		}
 		obs, ok := built.Dyn.(dynamics.Observable)
 		if !ok {
-			return nil, fmt.Errorf("%w: dynamics %s cannot attach a drift tracker", ErrInvalid, s.Dynamics.Kind)
+			return nil, nil, nil, fmt.Errorf("%w: dynamics %s cannot attach a drift tracker", ErrInvalid, s.Dynamics.Kind)
 		}
-		obs.SetObserver(tr)
-		c.trackers[rep] = tr
+		obs.SetObserver(tracker)
 	}
-	return built.Dyn, nil
-}
-
-// assembleCell folds per-replication results into a CellResult; both
-// drivers feed it results in replication order, so aggregates are
-// bit-identical regardless of how the replications were executed.
-func (s *Spec) assembleCell(cell Cell, results []dynamics.RunResult, rec *trace.Recorder, drifts []fluid.Drift) (CellResult, error) {
-	rounds := make([]float64, len(results))
-	for i, r := range results {
-		rounds[i] = float64(r.Rounds)
-	}
-	summary, err := stats.Summarize(rounds)
-	if err != nil {
-		return CellResult{}, err
-	}
-	return CellResult{
-		Cell:    cell,
-		Reps:    s.Reps,
-		Results: results,
-		Rounds:  summary,
-		Agg:     runner.Summarize(results),
-		Trace:   rec,
-		Drifts:  drifts,
-	}, nil
-}
-
-// runCell executes one cell's replications through runner.Spec,
-// instrumenting every replication with reg and journaling replication 0
-// when j is non-nil (both optional).
-func (s *Spec) runCell(ctx context.Context, cell Cell, reg *obs.Registry, j *obs.Journal) (CellResult, error) {
-	c, err := s.newCellRun(cell, reg, j)
-	if err != nil {
-		return CellResult{}, err
-	}
-	rspec := runner.Spec{
-		Reps:        s.Reps,
-		MaxRounds:   s.Rounds,
-		BaseSeed:    s.Seed,
-		Key:         uint64(cell.Index),
-		Parallelism: s.Par,
-		New:         func(rep int, _ uint64) (dynamics.Dynamics, error) { return c.build(rep) },
-		Stop:        func(rep int) dynamics.StopCondition { return c.stops[rep] },
-	}
-	results, err := runner.Run(ctx, rspec)
-	if err != nil {
-		return CellResult{}, err
-	}
-	var drifts []fluid.Drift
-	if c.trackers != nil {
-		drifts = make([]fluid.Drift, len(c.trackers))
-		for i, tr := range c.trackers {
-			drifts[i] = tr.Drift()
-		}
-	}
-	return s.assembleCell(cell, results, c.recorder, drifts)
+	return built.Dyn, stop, tracker, nil
 }
 
 // addRow appends the cell's table row: axis values, then metric values.

@@ -3,7 +3,7 @@
 // workload), a dynamics choice (package dynamics), a stop condition, a
 // replication schedule, and a parameter grid — all loadable from JSON — and
 // the sweep engine expands the grid into cells, fans each cell's
-// replications out through runner.Spec, and folds per-cell aggregates
+// replications out through runner.Map, and folds per-cell aggregates
 // (package stats) into a sim.Table renderable as text, markdown, CSV, or
 // JSON.
 //

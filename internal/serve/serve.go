@@ -1,8 +1,8 @@
 // Package serve implements the simulation-as-a-service daemon behind
 // cmd/serve: an HTTP API that accepts scenario specs (internal/scenario,
 // including the version-2 event schedules), queues them with bounded
-// concurrency, executes each through the checkpointing runner
-// (scenario.RunCheckpointed), and streams every job's NDJSON journal live
+// concurrency, executes each through scenario.Run with checkpointing on
+// (Options.Checkpoint), and streams every job's NDJSON journal live
 // over Server-Sent Events. All state lives under one directory, so a
 // killed daemon restarted on the same directory requeues interrupted jobs
 // and resumes them bit-identically (DESIGN.md §13).
@@ -12,7 +12,7 @@
 //	<state>/jobs/<id>/spec.json       the submitted spec, verbatim
 //	<state>/jobs/<id>/job.json        lifecycle record (status, timestamps)
 //	<state>/jobs/<id>/journal.ndjson  obs.Journal rows, append-only across resumes
-//	<state>/jobs/<id>/state/          RunCheckpointed's progress manifest
+//	<state>/jobs/<id>/state/          scenario.Run's checkpoint manifest
 //	<state>/jobs/<id>/result.{txt,csv,md,json}  rendered table, on completion
 //
 // Every mutation of job.json and the checkpoint manifest goes through the
@@ -60,8 +60,9 @@ type Config struct {
 	// StateDir is the root state directory. Required; created if missing.
 	StateDir string
 	// MaxConcurrent is the number of jobs executing at once; ≤ 0 means 1.
-	// Replications within a job always run sequentially (the checkpointing
-	// runner's contract), so this is the daemon's only parallelism knob.
+	// A checkpointed scenario.Run executes a job's replications one at a
+	// time (its manifest holds one in-flight snapshot), so this is the
+	// daemon's only parallelism knob.
 	MaxConcurrent int
 	// CheckpointEvery is the mid-replication snapshot cadence in rounds;
 	// ≤ 0 selects scenario.DefaultCheckpointEvery.
@@ -457,9 +458,10 @@ func (s *Server) runJob(j *Job) {
 		}
 	}()
 
-	res, runErr := scenario.RunCheckpointed(ctx, spec,
-		scenario.Options{Quick: quick, Registry: s.reg, Journal: journal},
-		scenario.CheckpointConfig{Dir: filepath.Join(j.dir, "state"), Every: s.cfg.CheckpointEvery})
+	res, runErr := scenario.Run(ctx, spec, scenario.Options{
+		Quick: quick, Registry: s.reg, Journal: journal,
+		Checkpoint: &scenario.CheckpointConfig{Dir: filepath.Join(j.dir, "state"), Every: s.cfg.CheckpointEvery},
+	})
 
 	close(flushDone)
 	flushWG.Wait()

@@ -204,7 +204,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err := obs.ValidatePrometheus(metrics); err != nil {
 		t.Errorf("/metrics is not valid exposition format: %v", err)
 	}
-	for _, m := range []string{"serve_jobs_submitted_total 1", "serve_jobs_done_total 1", "sweep_run_complete 1"} {
+	for _, m := range []string{"serve_jobs_submitted_total 1", "serve_jobs_done_total 1", "sweep_run_complete 1", "runner_jobs_total 4"} {
 		if !strings.Contains(string(metrics), m) {
 			t.Errorf("/metrics lacks %q", m)
 		}

@@ -111,7 +111,7 @@ echo "   byte-identical"
 
 echo "== validate the live metrics scrape"
 curl -sf "http://$ADDR/metrics" | go run ./cmd/metricscheck -require \
-    serve_jobs_submitted_total,serve_jobs_done_total,serve_jobs_suspended_total,serve_jobs_running,serve_jobs_queued,engine_rounds_total,engine_moves_total,engine_players,engine_phase_seconds,sweep_cells_total,sweep_cells_done_total,sweep_reps_done_total,sweep_cell_seconds,sweep_run_complete \
+    serve_jobs_submitted_total,serve_jobs_done_total,serve_jobs_suspended_total,serve_jobs_running,serve_jobs_queued,engine_rounds_total,engine_moves_total,engine_players,engine_phase_seconds,sweep_cells_total,sweep_cells_done_total,sweep_reps_done_total,sweep_cell_seconds,sweep_run_complete,runner_jobs_total,runner_job_seconds \
     -
 
 echo "serve-smoke: OK"
