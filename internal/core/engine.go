@@ -72,25 +72,9 @@ type StepTimings struct {
 // like observers, it can never change the trajectory. With no timer
 // installed the engine takes no timestamps at all — the nil check is the
 // only cost — preserving the zero-overhead-when-disabled contract
-// (internal/obs builds metric-recording timers on top of this hook; core
-// deliberately does not import obs).
+// (the dynamics adapter translates these timings into internal/obs's
+// phase record; core deliberately does not import obs).
 type StepTimer func(stats RoundStats, t StepTimings)
-
-// ComposeStepTimers chains step timers, skipping nil ones; it returns nil
-// when both are nil, so the composed timer preserves the disabled fast
-// path.
-func ComposeStepTimers(a, b StepTimer) StepTimer {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(stats RoundStats, t StepTimings) {
-		a(stats, t)
-		b(stats, t)
-	}
-}
 
 // StopCondition inspects a snapshot of the state after each round and
 // reports whether the run should stop. The engine passes a lazily
@@ -188,7 +172,7 @@ func WithStepTimer(t StepTimer) Option {
 }
 
 // SetStepTimer installs (or, with nil, removes) the step timer after
-// construction. Use ComposeStepTimers to attach more than one.
+// construction, replacing any earlier one.
 func (e *Engine) SetStepTimer(t StepTimer) { e.timer = t }
 
 // AddObserver registers a per-round observer after construction. Rounds

@@ -1,9 +1,11 @@
 package dynamics
 
 import (
+	"congame/internal/checkpoint"
 	"congame/internal/core"
 	"congame/internal/events"
 	"congame/internal/game"
+	"congame/internal/obs"
 )
 
 // Engine adapts a *core.Engine to the Dynamics interface. Step and Run
@@ -12,6 +14,8 @@ import (
 // RunResults are bit-identical to driving the engine without the adapter.
 type Engine struct {
 	e *core.Engine
+	// sched is the schedule SetEvents installed, which Restore replays.
+	sched *events.Schedule
 	// snap is the lazily refreshed snapshot core.Engine.Run hands to its
 	// stop condition, stashed for the duration of each stop evaluation so
 	// FromCore-style conditions query the cached RoundView tables instead
@@ -19,8 +23,16 @@ type Engine struct {
 	snap game.Snapshot
 }
 
-var _ Dynamics = (*Engine)(nil)
-var _ Observable = (*Engine)(nil)
+var (
+	_ Dynamics       = (*Engine)(nil)
+	_ Observable     = (*Engine)(nil)
+	_ Evented        = (*Engine)(nil)
+	_ PhaseTimed     = (*Engine)(nil)
+	_ Checkpointable = (*Engine)(nil)
+)
+
+// corePhases names core.StepTimings' phases in slot order.
+var corePhases = obs.Phases{Backend: "core", Names: []string{"pre_round", "sync", "decide", "apply", "step"}}
 
 // FromEngine wraps a concurrent engine.
 func FromEngine(e *core.Engine) *Engine {
@@ -43,14 +55,44 @@ func (a *Engine) SetObserver(obs core.RoundObserver) { a.e.AddObserver(obs) }
 func (a *Engine) SetEvents(s *events.Schedule, obs ...events.FiringObserver) error {
 	if s == nil {
 		a.e.SetPreRound(nil)
+		a.sched = nil
 		return nil
 	}
 	if err := s.ValidateFor(a.e.State().Game()); err != nil {
 		return err
 	}
 	a.e.SetPreRound(s.Hook(obs...))
+	a.sched = s
 	return nil
 }
+
+// Phases implements PhaseTimed: the core.StepTimings phases.
+func (a *Engine) Phases() obs.Phases { return corePhases }
+
+// SetPhaseTimer implements PhaseTimed by installing an engine step timer
+// that translates core.StepTimings into the obs phase record.
+func (a *Engine) SetPhaseTimer(fn obs.PhaseTimer) {
+	if fn == nil {
+		a.e.SetStepTimer(nil)
+		return
+	}
+	a.e.SetStepTimer(func(s core.RoundStats, t core.StepTimings) {
+		fn(s.Round, obs.PhaseTimes{t.PreRound, t.Sync, t.Decide, t.Apply, t.Step})
+	})
+}
+
+// Capture implements Checkpointable.
+func (a *Engine) Capture(quietStreak int) *checkpoint.Snapshot {
+	return checkpoint.CaptureEngine(a.e, quietStreak)
+}
+
+// Restore implements Checkpointable (see checkpoint.RestoreEngine).
+func (a *Engine) Restore(s *checkpoint.Snapshot) error {
+	return checkpoint.RestoreEngine(a.e, s, a.sched)
+}
+
+// TotalMoves implements Checkpointable: the engine's lifetime move count.
+func (a *Engine) TotalMoves() int { return a.e.TotalMoves() }
 
 // State returns the engine's live state.
 func (a *Engine) State() *game.State { return a.e.State() }
@@ -72,9 +114,7 @@ func (a *Engine) CurrentSnapshot() game.Snapshot {
 }
 
 // Step executes one concurrent round.
-func (a *Engine) Step() RoundStats {
-	return RoundStats(a.e.Step())
-}
+func (a *Engine) Step() RoundStats { return a.e.Step() }
 
 // Run delegates to core.Engine.Run, translating the unified stop condition
 // into a core.StopCondition on the fly.
@@ -83,16 +123,10 @@ func (a *Engine) Run(maxRounds int, stop StopCondition) RunResult {
 	if stop != nil {
 		cs = func(v game.Snapshot, r core.RoundStats) bool {
 			a.snap = v
-			fired := stop(a, RoundStats(r))
+			fired := stop(a, r)
 			a.snap = nil
 			return fired
 		}
 	}
-	res := a.e.Run(maxRounds, cs)
-	return RunResult{
-		Rounds:     res.Rounds,
-		Converged:  res.Converged,
-		TotalMoves: res.TotalMoves,
-		Final:      RoundStats(res.Final),
-	}
+	return a.e.Run(maxRounds, cs)
 }

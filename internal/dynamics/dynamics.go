@@ -4,8 +4,11 @@
 // the sequential baselines of Section 3.2 (package baseline), and the
 // mean-field fluid limit of the protocol (fluid.Sim); each historically
 // exposed its own run API. This package defines the common Dynamics
-// interface — Step, Run, and potential/round accessors over a shared
-// RoundStats/RunResult vocabulary — plus thin adapters for every family.
+// interface — Step, Run, and potential/round accessors over core's
+// RoundStats/RunResult vocabulary — plus thin adapters for every family,
+// and the optional capability interfaces (Observable, Evented, PhaseTimed,
+// Checkpointable) through which callers reach every family's hooks
+// without naming the adapter types.
 //
 // The adapters are deliberately transparent: each delegates to the wrapped
 // implementation without re-deriving randomness or re-ordering work, so a
@@ -15,50 +18,26 @@
 // tables the hand-rolled per-family loops produced (see DESIGN.md §6).
 package dynamics
 
-import "congame/internal/core"
+import (
+	"congame/internal/checkpoint"
+	"congame/internal/core"
+	"congame/internal/events"
+	"congame/internal/obs"
+)
 
 // RoundStats summarizes one executed round (or, for sequential dynamics,
-// one activation batch). It mirrors core.RoundStats field for field; the
-// weighted and sequential adapters document which fields they populate.
-type RoundStats struct {
-	// Round is the 0-based index of the completed round.
-	Round int
-	// Players is the number of players n the round ran with (after any
-	// pre-round churn events). The fluid adapter reports the rounded
-	// absolute population for FromGame-scaled systems and 0 for
-	// hand-built ones.
-	Players int
-	// Movers is the number of players that migrated this round.
-	Movers int
-	// NewStrategies is the number of previously unregistered strategies
-	// discovered by exploration this round (concurrent engine only).
-	NewStrategies int
-	// Potential is the potential after the round. Adapters that cannot
-	// track it cheaply report NaN; use Dynamics.Potential for ground
-	// truth.
-	Potential float64
-	// AvgLatency is the average latency after the round.
-	AvgLatency float64
-	// MaxLatency is the makespan after the round.
-	MaxLatency float64
-}
+// one activation batch). It is core.RoundStats, shared by every family;
+// the adapters document which fields they populate. Adapters that cannot
+// track the potential cheaply report NaN (use Dynamics.Potential for
+// ground truth), and the fluid adapter reports Players as the rounded
+// absolute population for FromGame-scaled systems and 0 for hand-built
+// ones.
+type RoundStats = core.RoundStats
 
-// RunResult summarizes a full Run. It mirrors core.RunResult.
-type RunResult struct {
-	// Rounds is the number of rounds (sequential dynamics: activations)
-	// executed.
-	Rounds int
-	// Converged reports whether the stop condition fired (as opposed to
-	// the round budget running out).
-	Converged bool
-	// TotalMoves is the total number of migrations over the dynamics'
-	// lifetime — all rounds ever executed, not just this Run, mirroring
-	// core.Engine.Run — where the family reports it (0 for the Goldberg
-	// baseline).
-	TotalMoves int
-	// Final is the statistics record of the last executed round.
-	Final RoundStats
-}
+// RunResult summarizes a full Run. It is core.RunResult; TotalMoves is
+// reported where the family counts moves (0 for the fluid family and the
+// Goldberg baseline).
+type RunResult = core.RunResult
 
 // StopCondition inspects the dynamics after each round and reports whether
 // the run should stop. Conditions receive the Dynamics itself so that
@@ -74,10 +53,42 @@ type StopCondition func(d Dynamics, r RoundStats) bool
 // core.Engine.AddObserver, while the sequential and weighted adapters
 // invoke observers themselves after every executed Step. Repeated calls
 // attach ADDITIONAL observers on every family (there is no detach).
-// Observers see the same RoundStats the Step returns, converted to
-// core.RoundStats (field-identical).
+// Observers see the same RoundStats the Step returns.
 type Observable interface {
 	SetObserver(obs core.RoundObserver)
+}
+
+// Evented is implemented by dynamics that apply an event schedule
+// (internal/events) before each round: the exact engine and the fluid
+// backend. SetEvents validates the schedule against the instance; a nil
+// schedule removes it. Firing observers are notified after each applied
+// event and never change the trajectory.
+type Evented interface {
+	SetEvents(s *events.Schedule, obs ...events.FiringObserver) error
+}
+
+// PhaseTimed is implemented by dynamics whose rounds time their phases:
+// all three engine-backed families. Phases names the backend and its
+// phase slots; SetPhaseTimer installs (or, with nil, removes) the hook
+// that receives each completed round's index and phase durations,
+// translated from the engine's own timings. With no timer installed a
+// round takes no timestamps.
+type PhaseTimed interface {
+	Phases() obs.Phases
+	SetPhaseTimer(fn obs.PhaseTimer)
+}
+
+// Checkpointable is implemented by dynamics that snapshot between rounds
+// and resume bit-identically (internal/checkpoint): the exact engine and
+// the fluid backend. Capture records the trajectory state plus the
+// trailing zero-migration streak; Restore overlays a snapshot onto a
+// freshly built instance of the same spec and replication, replaying the
+// schedule SetEvents installed; TotalMoves is the lifetime move count Run
+// would report.
+type Checkpointable interface {
+	Capture(quietStreak int) *checkpoint.Snapshot
+	Restore(s *checkpoint.Snapshot) error
+	TotalMoves() int
 }
 
 // Dynamics is the unified run API over all dynamics families.

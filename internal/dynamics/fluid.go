@@ -3,10 +3,12 @@ package dynamics
 import (
 	"fmt"
 
+	"congame/internal/checkpoint"
 	"congame/internal/core"
 	"congame/internal/events"
 	"congame/internal/fluid"
 	"congame/internal/latency"
+	"congame/internal/obs"
 )
 
 // DefaultQuietTol is the migration-mass threshold below which a fluid
@@ -34,8 +36,16 @@ type Fluid struct {
 	firingObs []events.FiringObserver
 }
 
-var _ Dynamics = (*Fluid)(nil)
-var _ Observable = (*Fluid)(nil)
+var (
+	_ Dynamics       = (*Fluid)(nil)
+	_ Observable     = (*Fluid)(nil)
+	_ Evented        = (*Fluid)(nil)
+	_ PhaseTimed     = (*Fluid)(nil)
+	_ Checkpointable = (*Fluid)(nil)
+)
+
+// fluidPhases names fluid.StepTimings' phases in slot order.
+var fluidPhases = obs.Phases{Backend: "fluid", Names: []string{"integrate", "potential", "step"}}
 
 // FromFluid wraps a fluid simulator; quietTol ≤ 0 selects
 // DefaultQuietTol.
@@ -121,6 +131,37 @@ func (f *Fluid) SetEvents(s *events.Schedule, obs ...events.FiringObserver) erro
 	return nil
 }
 
+// Phases implements PhaseTimed: the fluid.StepTimings phases.
+func (f *Fluid) Phases() obs.Phases { return fluidPhases }
+
+// SetPhaseTimer implements PhaseTimed by installing a simulator step timer
+// that translates fluid.StepTimings into the obs phase record. The
+// simulator's hook carries no stats, so the adapter supplies the completed
+// round's index (the simulator has already advanced its counter).
+func (f *Fluid) SetPhaseTimer(fn obs.PhaseTimer) {
+	if fn == nil {
+		f.sim.SetStepTimer(nil)
+		return
+	}
+	f.sim.SetStepTimer(func(t fluid.StepTimings) {
+		fn(f.sim.Round()-1, obs.PhaseTimes{t.Integrate, t.Potential, t.Step})
+	})
+}
+
+// Capture implements Checkpointable.
+func (f *Fluid) Capture(quietStreak int) *checkpoint.Snapshot {
+	return checkpoint.CaptureFluid(f.sim, quietStreak)
+}
+
+// Restore implements Checkpointable (see checkpoint.RestoreFluid).
+func (f *Fluid) Restore(s *checkpoint.Snapshot) error {
+	return checkpoint.RestoreFluid(f.sim, s, f.events)
+}
+
+// TotalMoves implements Checkpointable: always 0, as Run reports (a
+// continuum has no move count).
+func (f *Fluid) TotalMoves() int { return 0 }
+
 // applyEvents applies the mean-field counterpart of every event firing
 // before the upcoming round. The schedule was validated by SetEvents, so
 // a failure here is a programming bug and panics (same contract as the
@@ -188,7 +229,7 @@ func (f *Fluid) Step() RoundStats {
 	f.applyEvents()
 	st := f.convert(f.sim.Step())
 	for _, obs := range f.obs {
-		obs.Observe(core.RoundStats(st))
+		obs.Observe(st)
 	}
 	return st
 }

@@ -1,11 +1,6 @@
 package dynamics
 
-import (
-	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/obs"
-	"congame/internal/weighted"
-)
+import "congame/internal/obs"
 
 // Instrument attaches observability to one dynamics instance: registry
 // metrics (per-backend round counters and phase histograms) and/or a run
@@ -16,78 +11,41 @@ import (
 // typically attached to a single representative replication to bound its
 // volume.
 //
+// Round accounting needs an Observable dynamics and phase timing a
+// PhaseTimed one; a dynamics without phase hooks (the sequential
+// baselines) gets round accounting under the backend label "sequential".
 // Everything installed here only reads the completed round's statistics
 // and timings, so an instrumented run's trajectory is bit-identical to a
 // bare one (pinned by TestInstrumentPreservesTrajectory).
 func Instrument(d Dynamics, reg *obs.Registry, j *obs.Journal, cell, rep int) {
-	if reg == nil && j == nil {
+	o, ok := d.(Observable)
+	if !ok || (reg == nil && j == nil) {
 		return
 	}
-	switch a := d.(type) {
-	case *Engine:
-		var timer core.StepTimer
-		if reg != nil {
-			em := obs.NewEngineMetrics(reg, "core")
-			timer = em.StepTimer()
-			a.SetObserver(em.Observer())
-		}
-		if j != nil {
-			timer = core.ComposeStepTimers(timer, j.StepTimer(cell, rep, "core"))
-			a.SetObserver(j.RoundObserver(cell, rep))
-		}
-		a.Engine().SetStepTimer(timer)
-	case *Weighted:
-		var timers []func(weighted.StepTimings)
-		if reg != nil {
-			em := obs.NewEngineMetrics(reg, "weighted")
-			timers = append(timers, em.WeightedStepTimer())
-			a.SetObserver(em.Observer())
-		}
-		if j != nil {
-			timers = append(timers, j.WeightedStepTimer(cell, rep))
-			a.SetObserver(j.RoundObserver(cell, rep))
-		}
-		a.Engine().SetStepTimer(composeTimers(timers))
-	case *Fluid:
-		var timers []func(fluid.StepTimings)
-		if reg != nil {
-			fm := obs.NewFluidMetrics(reg)
-			timers = append(timers, fm.StepTimer())
-			a.SetObserver(fm.Observer())
-		}
-		if j != nil {
-			timers = append(timers, j.FluidStepTimer(cell, rep))
-			a.SetObserver(j.RoundObserver(cell, rep))
-		}
-		a.Sim().SetStepTimer(composeTimers(timers))
-	default:
-		// Backends without phase hooks (Sequential, external
-		// implementations) still get round accounting when observable.
-		o, ok := d.(Observable)
-		if !ok {
-			return
-		}
-		if reg != nil {
-			o.SetObserver(obs.NewRoundMetrics(reg, "sequential").Observer())
-		}
-		if j != nil {
-			o.SetObserver(j.RoundObserver(cell, rep))
+	pt, timed := d.(PhaseTimed)
+	phases := obs.Phases{Backend: "sequential"}
+	if timed {
+		phases = pt.Phases()
+	}
+	var timer obs.PhaseTimer
+	if reg != nil {
+		m := obs.NewPhaseMetrics(reg, phases)
+		o.SetObserver(m)
+		timer = m.ObservePhases
+	}
+	if j != nil {
+		o.SetObserver(j.RoundObserver(cell, rep))
+		jt := j.PhaseTimer(cell, rep, phases)
+		if mt := timer; mt != nil {
+			timer = func(round int, t obs.PhaseTimes) {
+				mt(round, t)
+				jt(round, t)
+			}
+		} else {
+			timer = jt
 		}
 	}
-}
-
-// composeTimers chains same-typed timing hooks, returning nil for an
-// empty set so the engines keep their timestamp-free disabled path.
-func composeTimers[T any](fns []func(T)) func(T) {
-	switch len(fns) {
-	case 0:
-		return nil
-	case 1:
-		return fns[0]
-	}
-	return func(t T) {
-		for _, fn := range fns {
-			fn(t)
-		}
+	if timed {
+		pt.SetPhaseTimer(timer)
 	}
 }

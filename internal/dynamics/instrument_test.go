@@ -11,7 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"regexp"
 	"runtime"
+	"slices"
 	"testing"
 
 	"congame/internal/core"
@@ -80,10 +82,11 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 
 	backends := []struct {
 		name    string
+		label   string
 		workers []int
 		mk      func(t *testing.T, workers int) Dynamics
 	}{
-		{"engine", workerCounts, func(t *testing.T, w int) Dynamics {
+		{"engine", "core", workerCounts, func(t *testing.T, w int) Dynamics {
 			inst := newTestInstance(t, 17)
 			im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
 			if err != nil {
@@ -95,11 +98,11 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 			}
 			return FromEngine(e)
 		}},
-		{"weighted", workerCounts, func(t *testing.T, w int) Dynamics {
+		{"weighted", "weighted", workerCounts, func(t *testing.T, w int) Dynamics {
 			return newWeightedDyn(t, w)
 		}},
 		// The fluid backend has no worker axis; one variant suffices.
-		{"fluid", []int{1}, func(t *testing.T, _ int) Dynamics {
+		{"fluid", "fluid", []int{1}, func(t *testing.T, _ int) Dynamics {
 			return FromFluid(fluidTestSim(t, 4), 0)
 		}},
 	}
@@ -130,15 +133,7 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 				// The registry accumulated the run: the backend's round
 				// counter (idempotent re-registration hands back the same
 				// series) must have counted every step exactly once.
-				var rm *obs.RoundMetrics
-				switch be.name {
-				case "engine":
-					rm = obs.NewEngineMetrics(reg, "core").RoundMetrics
-				case "weighted":
-					rm = obs.NewEngineMetrics(reg, "weighted").RoundMetrics
-				case "fluid":
-					rm = obs.NewFluidMetrics(reg).RoundMetrics
-				}
+				rm := obs.NewPhaseMetrics(reg, obs.Phases{Backend: be.label})
 				if got := rm.Rounds.Value(); got != rounds {
 					t.Errorf("registry counted %d rounds, want %d", got, rounds)
 				}
@@ -147,33 +142,118 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 	}
 }
 
-// TestInstrumentedEngineStepZeroAllocs extends the engine's steady-state
-// zero-allocation contract to the fully instrumented round: per-phase
-// histograms, round counters, and an NDJSON journal all ride the hot
-// path without allocating (time.Now, atomic updates, and the journal's
-// reused scratch buffer are allocation-free once warm).
+// phaseTimedCases builds every PhaseTimed backend at the worker counts the
+// instrumented-round tests cover, with the backend label and the phase
+// keys its journal rows carry, in order.
+var phaseTimedCases = []struct {
+	name    string
+	backend string
+	keys    []string
+	mk      func(t *testing.T) Dynamics
+}{
+	{"core/w1", "core", []string{"pre_round_s", "sync_s", "decide_s", "apply_s", "step_s"}, func(t *testing.T) Dynamics {
+		inst := newTestInstance(t, 23)
+		im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.NewEngine(inst.State, im, core.WithSeed(23), core.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromEngine(e)
+	}},
+	{"weighted/w1", "weighted", []string{"sync_s", "decide_s", "apply_s", "step_s"}, func(t *testing.T) Dynamics {
+		return newWeightedDyn(t, 1)
+	}},
+	{"weighted/w2", "weighted", []string{"sync_s", "decide_s", "apply_s", "step_s"}, func(t *testing.T) Dynamics {
+		return newWeightedDyn(t, 2)
+	}},
+	{"fluid", "fluid", []string{"integrate_s", "potential_s", "step_s"}, func(t *testing.T) Dynamics {
+		return FromFluid(fluidTestSim(t, 4), 0)
+	}},
+}
+
+// TestInstrumentedEngineStepZeroAllocs extends the engines' steady-state
+// zero-allocation contract to the fully instrumented round on every
+// PhaseTimed backend: per-phase histograms, round counters, an NDJSON
+// journal, and the adapter's translation into the obs phase record all
+// ride the hot path without allocating (time.Now, atomic updates, and the
+// journal's reused scratch buffer are allocation-free once warm).
 func TestInstrumentedEngineStepZeroAllocs(t *testing.T) {
-	inst := newTestInstance(t, 23)
-	im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range phaseTimedCases {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.mk(t)
+			reg := obs.NewRegistry()
+			j := obs.NewJournal(io.Discard)
+			Instrument(d, reg, j, 0, 0)
+			for i := 0; i < 8; i++ {
+				d.Step()
+			}
+			if allocs := testing.AllocsPerRun(20, func() { d.Step() }); allocs != 0 {
+				t.Fatalf("instrumented %s step allocated %.1f times per round, want 0", c.name, allocs)
+			}
+			if err := j.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	e, err := core.NewEngine(inst.State, im, core.WithSeed(23), core.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := FromEngine(e)
-	reg := obs.NewRegistry()
-	j := obs.NewJournal(io.Discard)
-	Instrument(d, reg, j, 0, 0)
-	for i := 0; i < 8; i++ {
-		d.Step()
-	}
-	if allocs := testing.AllocsPerRun(20, func() { d.Step() }); allocs != 0 {
-		t.Fatalf("instrumented engine step allocated %.1f times per round, want 0", allocs)
-	}
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
+}
+
+// jsonKey matches one object key of a journal row.
+var jsonKey = regexp.MustCompile(`"([a-z_]+)":`)
+
+// TestPhaseRowsCarryAdapterRound: every adapter hands its phase timer the
+// index of the round it just completed, so a dynamics instrumented after
+// k rounds journals its first phase row at round k, the round of the
+// round row beside it, under the backend's label and with its phase keys
+// in order.
+func TestPhaseRowsCarryAdapterRound(t *testing.T) {
+	const k = 3
+	for _, c := range phaseTimedCases {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.mk(t)
+			trajectory(d, k)
+			var buf bytes.Buffer
+			j := obs.NewJournal(&buf)
+			Instrument(d, nil, j, 0, 0)
+			d.Step()
+			if err := j.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+			if len(lines) != 2 {
+				t.Fatalf("one step journaled %d rows, want a phase row and a round row:\n%s", len(lines), buf.String())
+			}
+			var phase, round struct {
+				T       string `json:"t"`
+				Backend string `json:"backend"`
+				Round   int    `json:"round"`
+			}
+			if err := json.Unmarshal(lines[0], &phase); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(lines[1], &round); err != nil {
+				t.Fatal(err)
+			}
+			if phase.T != "phase" || round.T != "round" {
+				t.Fatalf("rows are %q then %q, want phase then round", phase.T, round.T)
+			}
+			if phase.Backend != c.backend {
+				t.Errorf("phase row backend %q, want %q", phase.Backend, c.backend)
+			}
+			if phase.Round != k || round.Round != k {
+				t.Errorf("phase row round %d, round row round %d, want both %d", phase.Round, round.Round, k)
+			}
+			var keys []string
+			for _, m := range jsonKey.FindAllSubmatch(lines[0], -1) {
+				keys = append(keys, string(m[1]))
+			}
+			want := append([]string{"t", "cell", "rep", "backend", "round"}, c.keys...)
+			if !slices.Equal(keys, want) {
+				t.Errorf("phase row keys %v, want %v", keys, want)
+			}
+		})
 	}
 }
 

@@ -178,7 +178,7 @@ func (s *Sequential) Step() RoundStats {
 		stats.Movers = 1
 	}
 	for _, obs := range s.obs {
-		obs.Observe(core.RoundStats(stats))
+		obs.Observe(stats)
 	}
 	return stats
 }

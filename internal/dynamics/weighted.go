@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"congame/internal/core"
+	"congame/internal/obs"
 	"congame/internal/weighted"
 )
 
@@ -23,8 +24,16 @@ type Weighted struct {
 	obs    []core.RoundObserver
 }
 
-var _ Dynamics = (*Weighted)(nil)
-var _ Observable = (*Weighted)(nil)
+var (
+	_ Dynamics   = (*Weighted)(nil)
+	_ Observable = (*Weighted)(nil)
+	_ PhaseTimed = (*Weighted)(nil)
+)
+
+// weightedPhases names weighted.StepTimings' phases in slot order; the
+// snapshot phase (the link-latency cache fill) is labelled sync, its role
+// in the core engine.
+var weightedPhases = obs.Phases{Backend: "weighted", Names: []string{"sync", "decide", "apply", "step"}}
 
 // SetObserver implements Observable: the observer sees the RoundStats of
 // every executed weighted round. Repeated calls attach additional
@@ -33,6 +42,23 @@ func (a *Weighted) SetObserver(obs core.RoundObserver) {
 	if obs != nil {
 		a.obs = append(a.obs, obs)
 	}
+}
+
+// Phases implements PhaseTimed: the weighted.StepTimings phases.
+func (a *Weighted) Phases() obs.Phases { return weightedPhases }
+
+// SetPhaseTimer implements PhaseTimed by installing an engine step timer
+// that translates weighted.StepTimings into the obs phase record. The
+// engine's hook carries no stats, so the adapter supplies the completed
+// round's index (the engine has already advanced its counter).
+func (a *Weighted) SetPhaseTimer(fn obs.PhaseTimer) {
+	if fn == nil {
+		a.e.SetStepTimer(nil)
+		return
+	}
+	a.e.SetStepTimer(func(t weighted.StepTimings) {
+		fn(a.e.Round()-1, obs.PhaseTimes{t.Snapshot, t.Decide, t.Apply, t.Step})
+	})
 }
 
 // FromWeighted wraps a weighted engine.
@@ -78,7 +104,7 @@ func (a *Weighted) Step() RoundStats {
 		MaxLatency: st.MaxLatency(),
 	}
 	for _, obs := range a.obs {
-		obs.Observe(core.RoundStats(stats))
+		obs.Observe(stats)
 	}
 	return stats
 }

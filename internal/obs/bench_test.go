@@ -36,12 +36,12 @@ func BenchmarkJournalRound(b *testing.B) {
 
 func BenchmarkEngineStepTimer(b *testing.B) {
 	r := NewRegistry()
-	timer := NewEngineMetrics(r, "bench").StepTimer()
-	t := core.StepTimings{Sync: time.Microsecond, Decide: 40 * time.Microsecond,
-		Apply: 10 * time.Microsecond, Step: 52 * time.Microsecond}
+	timer := NewPhaseMetrics(r, Phases{Backend: "bench", Names: corePhaseNames}).ObservePhases
+	t := PhaseTimes{1: time.Microsecond, 2: 40 * time.Microsecond,
+		3: 10 * time.Microsecond, 4: 52 * time.Microsecond}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		timer(core.RoundStats{}, t)
+		timer(0, t)
 	}
 }
 

@@ -8,11 +8,8 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"time"
 
 	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/weighted"
 )
 
 // Journal appends structured NDJSON events — one JSON object per line —
@@ -171,35 +168,6 @@ func (j *Journal) Round(cell, rep int, s core.RoundStats) {
 	j.emitLocked()
 }
 
-// Phase journals one round's phase timings for a discrete core engine.
-func (j *Journal) Phase(cell, rep int, backend string, round int, t core.StepTimings) {
-	j.phase(cell, rep, backend, round,
-		[...]string{"pre_round", "sync", "decide", "apply", "step"},
-		[...]time.Duration{t.PreRound, t.Sync, t.Decide, t.Apply, t.Step})
-}
-
-func (j *Journal) phase(cell, rep int, backend string, round int, names [5]string, durs [5]time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	buf := append(j.buf[:0], `{"t":"phase"`...)
-	buf = appendCellRep(buf, cell, rep)
-	buf = append(buf, `,"backend":`...)
-	buf = appendJSONString(buf, backend)
-	buf = append(buf, `,"round":`...)
-	buf = strconv.AppendInt(buf, int64(round), 10)
-	for i, name := range names {
-		if name == "" {
-			continue
-		}
-		buf = append(buf, ',', '"')
-		buf = append(buf, name...)
-		buf = append(buf, `_s":`...)
-		buf = appendFloat(buf, durs[i].Seconds())
-	}
-	j.buf = append(buf, '}')
-	j.emitLocked()
-}
-
 type journalObserver struct {
 	j         *Journal
 	cell, rep int
@@ -213,37 +181,29 @@ func (j *Journal) RoundObserver(cell, rep int) core.RoundObserver {
 	return journalObserver{j, cell, rep}
 }
 
-// StepTimer returns a core.StepTimer journaling per-phase timings. Round
-// statistics are left to RoundObserver, so composing both yields exactly
-// one round row and one phase row per step.
-func (j *Journal) StepTimer(cell, rep int, backend string) core.StepTimer {
-	return func(s core.RoundStats, t core.StepTimings) {
-		j.Phase(cell, rep, backend, s.Round, t)
-	}
-}
-
-// WeightedStepTimer returns the weighted engine's timing hook journaling
-// phase rows; the round index is maintained locally (the weighted hook
-// does not carry stats).
-func (j *Journal) WeightedStepTimer(cell, rep int) func(weighted.StepTimings) {
-	round := 0
-	return func(t weighted.StepTimings) {
-		j.phase(cell, rep, "weighted", round,
-			[...]string{"sync", "decide", "apply", "step", ""},
-			[...]time.Duration{t.Snapshot, t.Decide, t.Apply, t.Step, 0})
-		round++
-	}
-}
-
-// FluidStepTimer returns the fluid simulator's timing hook journaling
-// phase rows.
-func (j *Journal) FluidStepTimer(cell, rep int) func(fluid.StepTimings) {
-	round := 0
-	return func(t fluid.StepTimings) {
-		j.phase(cell, rep, "fluid", round,
-			[...]string{"integrate", "potential", "step", "", ""},
-			[...]time.Duration{t.Integrate, t.Potential, t.Step, 0, 0})
-		round++
+// PhaseTimer returns a PhaseTimer journaling one phase row per round for
+// p's backend under the given cell/rep attribution: the round index the
+// caller passes and one "<name>_s" field per named phase, in slot order.
+// Round statistics are left to RoundObserver, so attaching both yields
+// exactly one round row and one phase row per step.
+func (j *Journal) PhaseTimer(cell, rep int, p Phases) PhaseTimer {
+	return func(round int, t PhaseTimes) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		buf := append(j.buf[:0], `{"t":"phase"`...)
+		buf = appendCellRep(buf, cell, rep)
+		buf = append(buf, `,"backend":`...)
+		buf = appendJSONString(buf, p.Backend)
+		buf = append(buf, `,"round":`...)
+		buf = strconv.AppendInt(buf, int64(round), 10)
+		for i, name := range p.Names {
+			buf = append(buf, ',', '"')
+			buf = append(buf, name...)
+			buf = append(buf, `_s":`...)
+			buf = appendFloat(buf, t[i].Seconds())
+		}
+		j.buf = append(buf, '}')
+		j.emitLocked()
 	}
 }
 

@@ -11,8 +11,15 @@ import (
 	"time"
 
 	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/weighted"
+)
+
+// The phase records of the three engine backends, as the dynamics
+// adapters declare them.
+var (
+	corePhaseNames = []string{"pre_round", "sync", "decide", "apply", "step"}
+	corePhases     = Phases{Backend: "core", Names: corePhaseNames}
+	weightedPhases = Phases{Backend: "weighted", Names: []string{"sync", "decide", "apply", "step"}}
+	fluidPhases    = Phases{Backend: "fluid", Names: []string{"integrate", "potential", "step"}}
 )
 
 func decodeLines(t *testing.T, data []byte) []map[string]any {
@@ -36,7 +43,7 @@ func TestJournalEvents(t *testing.T) {
 	j.CellStart(0, `n=4096 "quick"`)
 	j.Round(0, 1, core.RoundStats{Round: 2, Players: 10, Movers: 3, NewStrategies: 1,
 		Potential: 5.5, AvgLatency: 1.25, MaxLatency: 3})
-	j.Phase(0, 1, "core", 2, core.StepTimings{Decide: 2 * time.Millisecond, Step: 3 * time.Millisecond})
+	j.PhaseTimer(0, 1, corePhases)(2, PhaseTimes{2: 2 * time.Millisecond, 4: 3 * time.Millisecond})
 	j.EventFired(0, 1, 7, 0, "arrive")
 	j.CellFinish(0, 5, 0.25)
 	j.RunFinish(1.5)
@@ -93,12 +100,12 @@ func TestJournalObserverAndTimers(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
 	j.RoundObserver(2, 0).Observe(core.RoundStats{Round: 9, Players: 4})
-	j.StepTimer(2, 0, "core")(core.RoundStats{Round: 9}, core.StepTimings{Sync: time.Microsecond})
-	wt := j.WeightedStepTimer(-1, -1)
-	wt(weighted.StepTimings{Snapshot: time.Millisecond})
-	wt(weighted.StepTimings{})
-	ft := j.FluidStepTimer(-1, -1)
-	ft(fluid.StepTimings{Integrate: time.Millisecond})
+	j.PhaseTimer(2, 0, corePhases)(9, PhaseTimes{1: time.Microsecond})
+	wt := j.PhaseTimer(-1, -1, weightedPhases)
+	wt(4, PhaseTimes{0: time.Millisecond})
+	wt(5, PhaseTimes{})
+	ft := j.PhaseTimer(-1, -1, fluidPhases)
+	ft(0, PhaseTimes{0: time.Millisecond})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +116,11 @@ func TestJournalObserverAndTimers(t *testing.T) {
 	if lines[1]["sync_s"] != 1e-6 {
 		t.Errorf("core phase row wrong: %v", lines[1])
 	}
-	if lines[2]["backend"] != "weighted" || lines[2]["sync_s"] != 0.001 || lines[2]["round"] != 0.0 {
+	if lines[2]["backend"] != "weighted" || lines[2]["sync_s"] != 0.001 || lines[2]["round"] != 4.0 {
 		t.Errorf("weighted phase row wrong: %v", lines[2])
 	}
-	if lines[3]["round"] != 1.0 {
-		t.Errorf("weighted timer must advance its round: %v", lines[3])
+	if lines[3]["round"] != 5.0 {
+		t.Errorf("phase timer must journal the round it is passed: %v", lines[3])
 	}
 	if lines[4]["backend"] != "fluid" || lines[4]["integrate_s"] != 0.001 {
 		t.Errorf("fluid phase row wrong: %v", lines[4])

@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"time"
+
 	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/weighted"
 )
 
 // DefTimeBuckets is the default bucket layout for phase and job duration
@@ -19,120 +19,68 @@ var DefTimeBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// RoundMetrics is the backend-independent round accounting shared by all
-// dynamics families: rounds stepped, migrations applied, and the current
-// population.
-type RoundMetrics struct {
+// MaxPhases is the number of slots in a PhaseTimes record: the most step
+// phases one backend can time.
+const MaxPhases = 5
+
+// Phases names the step phases one backend times: the backend label its
+// metrics and journal rows carry, and one phase name per PhaseTimes slot,
+// in slot order (at most MaxPhases).
+type Phases struct {
+	Backend string
+	Names   []string
+}
+
+// PhaseTimes holds one round's phase durations; slot i times
+// Phases.Names[i], and slots past the backend's names stay zero.
+type PhaseTimes [MaxPhases]time.Duration
+
+// PhaseTimer receives a completed round's 0-based index and its phase
+// durations. It runs synchronously on the stepping goroutine and must
+// only read, so it can never change the trajectory.
+type PhaseTimer func(round int, t PhaseTimes)
+
+// PhaseMetrics instruments one backend: rounds stepped, migrations
+// applied, and the current population, plus one duration histogram per
+// named phase in the family engine_phase_seconds{backend=...,phase=...}.
+type PhaseMetrics struct {
 	Rounds  *Counter
 	Moves   *Counter
 	Players *Gauge
+	// Phase holds the histograms in slot order, like Phases.Names.
+	Phase []*Histogram
 }
 
-// NewRoundMetrics registers the round counters for one backend label.
-func NewRoundMetrics(r *Registry, backend string) *RoundMetrics {
-	lbl := L("backend", backend)
-	return &RoundMetrics{
+// NewPhaseMetrics registers the metric set for p's backend. A backend
+// without phase hooks passes no names and gets the round counters alone.
+func NewPhaseMetrics(r *Registry, p Phases) *PhaseMetrics {
+	lbl := L("backend", p.Backend)
+	m := &PhaseMetrics{
 		Rounds:  r.Counter("engine_rounds_total", "Rounds stepped.", lbl),
 		Moves:   r.Counter("engine_moves_total", "Player migrations applied.", lbl),
 		Players: r.Gauge("engine_players", "Population of the most recent round.", lbl),
 	}
-}
-
-type roundMetricsObserver struct{ m *RoundMetrics }
-
-func (o roundMetricsObserver) Observe(s core.RoundStats) {
-	o.m.Rounds.Inc()
-	o.m.Moves.Add(uint64(s.Movers))
-	o.m.Players.Set(float64(s.Players))
-}
-
-// Observer returns a core.RoundObserver that feeds the counters. It never
-// mutates engine state and never allocates per round.
-func (m *RoundMetrics) Observer() core.RoundObserver { return roundMetricsObserver{m} }
-
-// EngineMetrics instruments a discrete engine (core or weighted): the
-// shared round counters plus one duration histogram per Step phase in the
-// family engine_phase_seconds{backend=...,phase=...}.
-type EngineMetrics struct {
-	*RoundMetrics
-	PreRound *Histogram
-	Sync     *Histogram
-	Decide   *Histogram
-	Apply    *Histogram
-	Step     *Histogram
-}
-
-// NewEngineMetrics registers the discrete-engine metric set for one
-// backend label ("core", "weighted", ...).
-func NewEngineMetrics(r *Registry, backend string) *EngineMetrics {
-	phase := func(name string) *Histogram {
-		return r.Histogram("engine_phase_seconds", "Wall-clock seconds per engine step phase.",
-			DefTimeBuckets, L("backend", backend), L("phase", name))
+	for _, name := range p.Names {
+		m.Phase = append(m.Phase, r.Histogram("engine_phase_seconds", "Wall-clock seconds per engine step phase.",
+			DefTimeBuckets, lbl, L("phase", name)))
 	}
-	return &EngineMetrics{
-		RoundMetrics: NewRoundMetrics(r, backend),
-		PreRound:     phase("pre_round"),
-		Sync:         phase("sync"),
-		Decide:       phase("decide"),
-		Apply:        phase("apply"),
-		Step:         phase("step"),
-	}
+	return m
 }
 
-// StepTimer returns a core.StepTimer feeding the phase histograms. Round
-// counting is left to the Observer so a journal timer can be composed in
+// Observe implements core.RoundObserver by feeding the round counters. It
+// never mutates engine state and never allocates.
+func (m *PhaseMetrics) Observe(s core.RoundStats) {
+	m.Rounds.Inc()
+	m.Moves.Add(uint64(s.Movers))
+	m.Players.Set(float64(s.Players))
+}
+
+// ObservePhases is a PhaseTimer feeding the phase histograms. Round
+// counting is left to Observe, so a journal timer can run beside it
 // without double-counting rounds.
-func (m *EngineMetrics) StepTimer() core.StepTimer {
-	return func(_ core.RoundStats, t core.StepTimings) {
-		m.PreRound.ObserveDuration(t.PreRound)
-		m.Sync.ObserveDuration(t.Sync)
-		m.Decide.ObserveDuration(t.Decide)
-		m.Apply.ObserveDuration(t.Apply)
-		m.Step.ObserveDuration(t.Step)
-	}
-}
-
-// WeightedStepTimer adapts the phase histograms to the weighted engine's
-// timing hook; the snapshot phase (latency cache fill) lands in the Sync
-// histogram, its role in the core engine.
-func (m *EngineMetrics) WeightedStepTimer() func(weighted.StepTimings) {
-	return func(t weighted.StepTimings) {
-		m.Sync.ObserveDuration(t.Snapshot)
-		m.Decide.ObserveDuration(t.Decide)
-		m.Apply.ObserveDuration(t.Apply)
-		m.Step.ObserveDuration(t.Step)
-	}
-}
-
-// FluidMetrics instruments the mean-field backend: round counters plus
-// per-phase histograms for the integrator and the potential fold.
-type FluidMetrics struct {
-	*RoundMetrics
-	Integrate *Histogram
-	Potential *Histogram
-	Step      *Histogram
-}
-
-// NewFluidMetrics registers the fluid metric set.
-func NewFluidMetrics(r *Registry) *FluidMetrics {
-	phase := func(name string) *Histogram {
-		return r.Histogram("engine_phase_seconds", "Wall-clock seconds per engine step phase.",
-			DefTimeBuckets, L("backend", "fluid"), L("phase", name))
-	}
-	return &FluidMetrics{
-		RoundMetrics: NewRoundMetrics(r, "fluid"),
-		Integrate:    phase("integrate"),
-		Potential:    phase("potential"),
-		Step:         phase("step"),
-	}
-}
-
-// StepTimer returns the fluid timing hook feeding the phase histograms.
-func (m *FluidMetrics) StepTimer() func(fluid.StepTimings) {
-	return func(t fluid.StepTimings) {
-		m.Integrate.ObserveDuration(t.Integrate)
-		m.Potential.ObserveDuration(t.Potential)
-		m.Step.ObserveDuration(t.Step)
+func (m *PhaseMetrics) ObservePhases(_ int, t PhaseTimes) {
+	for i, h := range m.Phase {
+		h.ObserveDuration(t[i])
 	}
 }
 

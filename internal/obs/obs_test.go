@@ -229,17 +229,17 @@ func TestWriteJSON(t *testing.T) {
 
 func TestMetricSetsRegisterCleanly(t *testing.T) {
 	r := NewRegistry()
-	em := NewEngineMetrics(r, "core")
-	em2 := NewEngineMetrics(r, "core")
-	if em.Decide != em2.Decide {
+	em := NewPhaseMetrics(r, corePhases)
+	em2 := NewPhaseMetrics(r, corePhases)
+	if em.Phase[2] != em2.Phase[2] {
 		t.Fatal("re-registering the same backend must share series")
 	}
-	NewEngineMetrics(r, "weighted")
-	NewFluidMetrics(r)
+	NewPhaseMetrics(r, weightedPhases)
+	NewPhaseMetrics(r, fluidPhases)
 	NewRunnerMetrics(r)
 	NewSweepMetrics(r)
-	em.StepTimer()(core.RoundStats{}, core.StepTimings{Step: time.Millisecond})
-	em.Observer().Observe(core.RoundStats{Players: 7, Movers: 3})
+	em.ObservePhases(0, PhaseTimes{4: time.Millisecond})
+	em.Observe(core.RoundStats{Players: 7, Movers: 3})
 	if em.Rounds.Value() != 1 || em.Moves.Value() != 3 || em.Players.Value() != 7 {
 		t.Fatalf("observer did not feed counters: rounds=%d moves=%d players=%g",
 			em.Rounds.Value(), em.Moves.Value(), em.Players.Value())

@@ -300,50 +300,17 @@ func loadManifest(path string) (*manifest, error) {
 	return m, nil
 }
 
-// snapshottable returns the capture half of the checkpoint pair for
-// families with mid-replication snapshot support, or nil.
-func snapshottable(d dynamics.Dynamics) func(quietStreak int) *checkpoint.Snapshot {
-	switch a := d.(type) {
-	case *dynamics.Engine:
-		return func(q int) *checkpoint.Snapshot { return checkpoint.CaptureEngine(a.Engine(), q) }
-	case *dynamics.Fluid:
-		return func(q int) *checkpoint.Snapshot { return checkpoint.CaptureFluid(a.Sim(), q) }
-	}
-	return nil
-}
-
-// restoreDynamics overlays a snapshot onto a freshly built replication.
-func (c *cellRun) restoreDynamics(d dynamics.Dynamics, snap *checkpoint.Snapshot) error {
-	switch a := d.(type) {
-	case *dynamics.Engine:
-		return checkpoint.RestoreEngine(a.Engine(), snap, c.sched)
-	case *dynamics.Fluid:
-		return checkpoint.RestoreFluid(a.Sim(), snap, c.sched)
-	}
-	return fmt.Errorf("%w: dynamics %s does not support mid-replication snapshots", ErrInvalid, c.s.Dynamics.Kind)
-}
-
-// totalMoves mirrors what each family's Run reports as
-// RunResult.TotalMoves: the engine's lifetime move counter; zero for the
-// fluid family (a continuum has no move count).
-func totalMoves(d dynamics.Dynamics) int {
-	if a, ok := d.(*dynamics.Engine); ok {
-		return a.Engine().TotalMoves()
-	}
-	return 0
-}
-
 // runStepped executes one replication to completion through a manual step
 // loop that writes a snapshot every m.every rounds and on cancellation,
 // resuming from the manifest's snapshot when it belongs to this (cell,
 // rep). It polls ctx once per round.
-func (c *cellRun) runStepped(ctx context.Context, rep int, d dynamics.Dynamics, stop dynamics.StopCondition, capture func(quietStreak int) *checkpoint.Snapshot) (dynamics.RunResult, error) {
+func (c *cellRun) runStepped(ctx context.Context, rep int, d dynamics.Dynamics, cp dynamics.Checkpointable, stop dynamics.StopCondition) (dynamics.RunResult, error) {
 	s, m, cell := c.s, c.m, c.cell.Index
 	rounds, streak := 0, 0
 	var last dynamics.RoundStats
 
 	if snap := m.inflight(cell, rep); snap != nil {
-		if err := c.restoreDynamics(d, snap); err != nil {
+		if err := cp.Restore(snap); err != nil {
 			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d: %w", cell, rep, err)
 		}
 		rounds = int(snap.Round)
@@ -374,7 +341,7 @@ func (c *cellRun) runStepped(ctx context.Context, rep int, d dynamics.Dynamics, 
 	converged := false
 	for rounds < s.Rounds {
 		if err := ctx.Err(); err != nil {
-			if serr := m.persist(capture(streak), cell, rep, last); serr != nil {
+			if serr := m.persist(cp.Capture(streak), cell, rep, last); serr != nil {
 				return dynamics.RunResult{}, serr
 			}
 			return dynamics.RunResult{}, fmt.Errorf("%w at cell %d rep %d round %d: %w", ErrSuspended, cell, rep, rounds, err)
@@ -391,10 +358,10 @@ func (c *cellRun) runStepped(ctx context.Context, rep int, d dynamics.Dynamics, 
 			break
 		}
 		if rounds%m.every == 0 && rounds < s.Rounds {
-			if err := m.persist(capture(streak), cell, rep, last); err != nil {
+			if err := m.persist(cp.Capture(streak), cell, rep, last); err != nil {
 				return dynamics.RunResult{}, err
 			}
 		}
 	}
-	return dynamics.RunResult{Rounds: rounds, Converged: converged, TotalMoves: totalMoves(d), Final: last}, nil
+	return dynamics.RunResult{Rounds: rounds, Converged: converged, TotalMoves: cp.TotalMoves(), Final: last}, nil
 }

@@ -1,18 +1,22 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"congame/internal/dynamics"
 	"congame/internal/events"
+	"congame/internal/obs"
 	"congame/internal/workload"
 )
 
@@ -370,6 +374,66 @@ func TestCheckpointedCorruptSnapshotRestarts(t *testing.T) {
 		t.Fatalf("resume over a corrupt snapshot failed: %v", err)
 	}
 	assertSameResult(t, got, want)
+}
+
+// TestCheckpointedJournalPhaseRounds: a replication resumed from a
+// snapshot journals its phase rows at the rounds it actually steps, so
+// after a kill and a resume onto the same journal stream the phase rows
+// carry the same rounds as the round rows, and both read like an
+// uninterrupted run's record.
+func TestCheckpointedJournalPhaseRounds(t *testing.T) {
+	for _, kind := range []string{"fluid-imitation", "imitation"} {
+		t.Run(kind, func(t *testing.T) {
+			spec := fluidSpec()
+			spec.Dynamics = DynamicsSpec{Kind: kind}
+			spec.Rounds, spec.Reps = 12, 1
+			var buf bytes.Buffer
+			j := obs.NewJournal(&buf)
+			cfg := CheckpointConfig{Dir: t.TempDir(), Every: 4}
+			rows := func(typ string) []int {
+				t.Helper()
+				if err := j.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				var out []int
+				for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+					var row struct {
+						T     string `json:"t"`
+						Round int    `json:"round"`
+					}
+					if err := json.Unmarshal(line, &row); err != nil {
+						t.Fatalf("invalid journal line %q: %v", line, err)
+					}
+					if row.T == typ {
+						out = append(out, row.Round)
+					}
+				}
+				return out
+			}
+
+			ctx := &limitedCtx{Context: context.Background(), limit: 8}
+			if _, err := Run(ctx, spec, Options{Journal: j, Checkpoint: &cfg}); !errors.Is(err, ErrSuspended) {
+				t.Fatalf("first attempt did not suspend: %v", err)
+			}
+			if n := len(rows("round")); n == 0 || n >= spec.Rounds {
+				t.Fatalf("first attempt journaled %d of %d rounds, want a kill mid-replication", n, spec.Rounds)
+			}
+			if _, err := Run(context.Background(), spec, Options{Journal: j, Checkpoint: &cfg}); err != nil {
+				t.Fatal(err)
+			}
+			rounds, phases := rows("round"), rows("phase")
+			want := make([]int, spec.Rounds)
+			for i := range want {
+				want[i] = i
+			}
+			if !slices.Equal(rounds, want) {
+				t.Errorf("round rows carry rounds %v, want %v", rounds, want)
+			}
+			if !slices.Equal(phases, rounds) {
+				t.Errorf("phase rows carry rounds %v, round rows %v", phases, rounds)
+			}
+		})
+	}
 }
 
 // errDynamics runs like the dynamics it wraps, then reports a failure

@@ -300,7 +300,7 @@ func imitationConfig(p Params) core.ImitationConfig {
 
 // newEngineDynamics wires a protocol into a concurrent engine behind the
 // unified interface.
-func newEngineDynamics(inst *workload.Instance, proto core.Protocol, seed uint64, workers int) (*dynamics.Engine, error) {
+func newEngineDynamics(inst *workload.Instance, proto core.Protocol, seed uint64, workers int) (dynamics.Dynamics, error) {
 	e, err := core.NewEngine(inst.State, proto, core.WithSeed(seed), core.WithWorkers(workers))
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"congame/internal/checkpoint"
 	"congame/internal/dynamics"
 	"congame/internal/events"
 	"congame/internal/fluid"
@@ -307,17 +306,14 @@ func (c *cellRun) runRep(ctx context.Context, rep int, results []dynamics.RunRes
 		return fmt.Errorf("replication %d: %w", rep, err)
 	}
 	// The traced and drift-tracked replications accumulate observer state
-	// a snapshot does not capture; like families without snapshot support,
-	// they run whole through their own Run (the sequential adapter has
-	// absorption semantics a manual step loop would not reproduce), and
-	// their interruption granularity is the replication.
-	var capture func(quietStreak int) *checkpoint.Snapshot
-	if c.m != nil && tracker == nil && !c.traced(rep) {
-		capture = snapshottable(d)
-	}
+	// a snapshot does not capture; like families that are not
+	// Checkpointable, they run whole through their own Run (the sequential
+	// adapter has absorption semantics a manual step loop would not
+	// reproduce), and their interruption granularity is the replication.
+	cp, ok := d.(dynamics.Checkpointable)
 	var res dynamics.RunResult
-	if capture != nil {
-		if res, err = c.runStepped(ctx, rep, d, stop, capture); err != nil {
+	if ok && c.m != nil && tracker == nil && !c.traced(rep) {
+		if res, err = c.runStepped(ctx, rep, d, cp, stop); err != nil {
 			return err
 		}
 	} else {
@@ -363,21 +359,17 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, dynamics.StopCondition, *fl
 		repJ = c.j
 	}
 	if c.sched != nil {
+		ev, ok := built.Dyn.(dynamics.Evented)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("%w: dynamics %s does not support event schedules", ErrInvalid, s.Dynamics.Kind)
+		}
 		var fobs []events.FiringObserver
 		if repJ != nil {
 			fobs = append(fobs, func(round, index int, kind events.Kind) {
 				repJ.EventFired(cell.Index, rep, round, index, string(kind))
 			})
 		}
-		switch d := built.Dyn.(type) {
-		case *dynamics.Engine:
-			err = d.SetEvents(c.sched, fobs...)
-		case *dynamics.Fluid:
-			err = d.SetEvents(c.sched, fobs...)
-		default:
-			err = fmt.Errorf("%w: dynamics %s does not support event schedules", ErrInvalid, s.Dynamics.Kind)
-		}
-		if err != nil {
+		if err := ev.SetEvents(c.sched, fobs...); err != nil {
 			return nil, nil, nil, err
 		}
 	}
