@@ -18,9 +18,10 @@
 //     (raw bits — float loads accumulate move by move, so a fresh
 //     summation can fork the trajectory), plus the round counter;
 //   - fluid sim: the mass vector, round counter, incremental potential,
-//     last-round migration mass, and each link's latency wrapper chain
-//     (see fluid.WrapChains — churn retargets and rush-hour amplification
-//     stack in-place mutations that cannot be replayed structurally).
+//     last-round migration mass, and each link's latency wrappers — its
+//     population target and its one compounded scale factor (see
+//     fluid.WrapChains — churn retargets and rush-hour scaling are
+//     in-place mutations that cannot be replayed structurally).
 //
 // NOT captured: PRNG state (decision draws derive statelessly from
 // (seed, round, player), so the round counter is sufficient), RoundView /
@@ -94,7 +95,7 @@ type Snapshot struct {
 	// Fluid fields.
 	Mass     []float64        // strategy-mass vector (raw bits)
 	MoveMass float64          // last-round migration mass
-	Wraps    []fluid.LinkWrap // per-link latency wrapper chains
+	Wraps    []fluid.LinkWrap // per-link population target and scale factor
 }
 
 // CaptureEngine snapshots an exact engine between rounds. quietStreak is
@@ -152,10 +153,10 @@ func CaptureFluid(sim *fluid.Sim, quietStreak int) *Snapshot {
 // checkpointed run). The restore pipeline:
 //
 //  1. Replay the schedule's latency-structural effects for every round the
-//     checkpointed run executed: latency-scale events re-stack the same
-//     amplification wrappers (game.ScaleLatency recomputes ν bit-identical
-//     to from-scratch construction) and add-link events append the same
-//     resources. Churn and remove-link events are NOT replayed — their
+//     checkpointed run executed: latency-scale events compound the same
+//     factors in the same order (game.ScaleLatency recomputes ν
+//     bit-identical to from-scratch construction) and add-link events
+//     append the same resources. Churn and remove-link events are NOT replayed — their
 //     effects live entirely in the assignment and retirement flags, which
 //     the snapshot overlays wholesale.
 //  2. Register the snapshot's runtime-discovered strategies in ID order
@@ -215,7 +216,7 @@ func RestoreEngine(e *core.Engine, s *Snapshot, sched *events.Schedule) error {
 
 // replayStructural applies the latency-structural effects of every event
 // firing before rounds [0, rounds) directly to the game: latency-scale
-// wraps the same amplification layers in fire order, add-link appends the
+// compounds the same factors in fire order, add-link appends the
 // same resources (without registering the event's strategies — the
 // snapshot's full table registration handles every runtime strategy in ID
 // order). State-dependent events (arrive, depart, remove-link) are
@@ -266,7 +267,7 @@ func RestoreWeighted(g *weighted.Game, s *Snapshot) (*weighted.State, error) {
 // RestoreFluid overlays a fluid snapshot onto a freshly built simulator:
 // the schedule's add-link events are replayed for every checkpointed round
 // (buffer growth only), then the mass vector, counters, and per-link
-// latency wrapper chains are restored raw (fluid.Sim.Restore).
+// latency wrappers are restored raw (fluid.Sim.Restore).
 func RestoreFluid(sim *fluid.Sim, s *Snapshot, sched *events.Schedule) error {
 	if s.Kind != Fluid {
 		return fmt.Errorf("%w: restoring %s snapshot onto a fluid sim", ErrInvalid, s.Kind)

@@ -483,7 +483,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		Phi:         1.25,
 		MoveMass:    1e-7,
 		Mass:        []float64{0.5, 0.25, 0.25},
-		Wraps:       []fluid.LinkWrap{{Pop: 400}, {Pop: 400, Amps: []float64{1.5, 0.8}}, {Pop: 400}},
+		Wraps:       []fluid.LinkWrap{{Pop: 400}, {Pop: 400, Scale: 1.2}, {Pop: 400}},
 	}
 	if err := WriteFile(path, want); err != nil {
 		t.Fatal(err)

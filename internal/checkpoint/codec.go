@@ -18,14 +18,17 @@ import (
 // the exact bits the encode saw. Slices are length-prefixed with uint64
 // counts; counts are validated against the remaining buffer before any
 // allocation, so a corrupt or truncated file fails cleanly instead of
-// over-allocating.
+// over-allocating. A NaN float is rejected: no trajectory state is NaN,
+// and a NaN would make a decoded snapshot unequal to itself.
 
 var magic = [4]byte{'C', 'G', 'C', 'K'}
 
 // FormatVersion is the snapshot format version this build reads and
 // writes. Decoders reject other versions loudly — a checkpoint is a
-// contract between builds, not a best-effort hint.
-const FormatVersion uint16 = 1
+// contract between builds, not a best-effort hint. Version 2 stores one
+// scale factor per fluid link where version 1 stored a list of nested
+// amplification factors.
+const FormatVersion uint16 = 2
 
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() []byte {
@@ -55,7 +58,7 @@ func (s *Snapshot) Encode() []byte {
 		w.u64(uint64(len(s.Wraps)))
 		for _, wrap := range s.Wraps {
 			w.f64(wrap.Pop)
-			w.f64s(wrap.Amps)
+			w.f64(wrap.Scale)
 		}
 	}
 	w.u32(crc32.ChecksumIEEE(w.buf))
@@ -99,9 +102,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		s.Phi = r.f64()
 		s.MoveMass = r.f64()
 		s.Mass = r.f64s()
-		n := r.count(16) // each wrap is at least pop + a count
+		n := r.count(16) // each wrap is pop + scale
 		for i := uint64(0); i < n && r.err == nil; i++ {
-			s.Wraps = append(s.Wraps, fluid.LinkWrap{Pop: r.f64(), Amps: r.f64s()})
+			s.Wraps = append(s.Wraps, fluid.LinkWrap{Pop: r.f64(), Scale: r.f64()})
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrInvalid, uint8(s.Kind))
@@ -246,8 +249,15 @@ func (r *reader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) i64() int64 { return int64(r.u64()) }
+
+func (r *reader) f64() float64 {
+	v := math.Float64frombits(r.u64())
+	if math.IsNaN(v) && r.err == nil {
+		r.err = fmt.Errorf("%w: snapshot holds a NaN float", ErrInvalid)
+	}
+	return v
+}
 
 // count reads a length prefix and validates it against the remaining
 // buffer, assuming each element occupies at least minElem bytes — the

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"congame/internal/game"
 	"congame/internal/latency"
@@ -426,6 +427,145 @@ func (s *Schedule) ValidateFor(g *game.Game) error {
 		}
 	}
 	return nil
+}
+
+// maxScaleWork bounds the work CheckScaling does — one unit per firing
+// round plus two per started periodic event it scans there — so the
+// check costs milliseconds for any schedule and round budget.
+const maxScaleWork = 1 << 24
+
+// CheckScaling multiplies each link's latency-scale factors in firing
+// order over rounds [0, rounds) — the product game.ScaleLatency and
+// fluid.Sim.ScaleLatency store for the link — and fails at the first
+// product outside (0, +Inf), naming the event, link and round.
+//
+// Between two start rounds of latency-scale events, the firings repeat
+// with a period of the lcm of the started events' Every values. When the
+// products at the start of two consecutive periods agree bit for bit,
+// every later period up to the next start repeats that one, so the walk
+// skips ahead to it. A schedule that needs more than maxScaleWork to check
+// is refused.
+func (s *Schedule) CheckScaling(rounds int) error {
+	var scales []int                   // the latency-scale events that fire within budget, in start order
+	slot := make([]int, len(s.events)) // event -> its link's index in prod
+	links := map[int]int{}
+	for i := range s.events {
+		if ev := &s.events[i]; ev.Kind == LatencyScale && ev.Round < rounds {
+			scales = append(scales, i)
+			if _, ok := links[ev.Resource]; !ok {
+				links[ev.Resource] = len(links)
+			}
+			slot[i] = links[ev.Resource]
+		}
+	}
+	prod := make([]float64, len(links)) // each link's product so far
+	for k := range prod {
+		prod[k] = 1
+	}
+	mark := make([]float64, len(links)) // the products at the start of the current period
+	fire := func(i, r int) error {
+		ev := &s.events[i]
+		c := prod[slot[i]]
+		p := c * ev.Factor
+		if !(p > 0) || math.IsInf(p, 1) {
+			return fmt.Errorf("%w: event %d (%s) at round %d: link %d's latency factor compounds to %v × %v = %v, outside (0, +Inf)", ErrInvalid, i, ev.Kind, r, ev.Resource, c, ev.Factor, p)
+		}
+		prod[slot[i]] = p
+		return nil
+	}
+	var (
+		started []int // the periodic events started so far
+		next    = 0   // scales[next:] have not started
+		start   = -1  // the latest start round
+		period  = 1   // lcm of the started Every values, 0 past the budget
+		window  = -1  // index of the current period since start
+		work    = 0
+	)
+	for r := 0; r < rounds; r++ {
+		end := rounds // the next start round
+		if next < len(scales) {
+			end = s.events[scales[next]].Round
+		}
+		nr := end // the next firing round
+		for _, i := range started {
+			if n, ok := s.events[i].nextFiring(r); ok && n < nr {
+				nr = n
+			}
+		}
+		if r = nr; r >= rounds {
+			return nil
+		}
+		if start >= 0 && r < end && period > 0 {
+			if w := (r - start - 1) / period; w != window {
+				if window >= 0 && w == window+1 && slices.Equal(mark, prod) {
+					if end == rounds {
+						return nil
+					}
+					// Skip to the last period that begins before end.
+					if last := (end - start - 2) / period; last > w {
+						window = last
+						r = start + last*period // the loop's r++ makes it that period's first round
+						continue
+					}
+				}
+				copy(mark, prod)
+				window = w
+			}
+		}
+		for _, i := range started {
+			if s.events[i].activeAt(r) {
+				if err := fire(i, r); err != nil {
+					return err
+				}
+			}
+		}
+		for ; next < len(scales) && s.events[scales[next]].Round == r; next++ {
+			i := scales[next]
+			if err := fire(i, r); err != nil {
+				return err
+			}
+			if every := s.events[i].Every; every > 0 {
+				started = append(started, i)
+				if period > 0 {
+					period = lcmUpTo(period, every, rounds)
+				}
+			}
+			start, window = r, -1
+		}
+		if work += 1 + 2*len(started); work > maxScaleWork {
+			return fmt.Errorf("%w: latency-scale events within the %d-round budget take more than %d steps to check", ErrInvalid, rounds, maxScaleWork)
+		}
+	}
+	return nil
+}
+
+// nextFiring returns the first round ≥ r the event fires before, and
+// false if there is none.
+func (ev *Event) nextFiring(r int) (int, bool) {
+	if r <= ev.Round {
+		return ev.Round, true
+	}
+	if ev.Every <= 0 {
+		return 0, false
+	}
+	gap := (ev.Every - (r-ev.Round)%ev.Every) % ev.Every
+	if gap > math.MaxInt-r {
+		return 0, false
+	}
+	return r + gap, true
+}
+
+// lcmUpTo returns the least common multiple of a and b, or 0 when it
+// exceeds limit.
+func lcmUpTo(a, b, limit int) int {
+	x, y := a, b
+	for y != 0 {
+		x, y = y, x%y
+	}
+	if a/x > limit/b {
+		return 0
+	}
+	return a / x * b
 }
 
 // FiringObserver receives each successfully applied event firing: the

@@ -7,19 +7,19 @@ import (
 )
 
 // Mean-field counterparts of the event schedule (internal/events): churn
-// is a mass source/sink with a population rescale, latency scaling wraps
-// the link function in latency.Amplified, and topology events grow or
-// drain the mass vector. Each operation mutates the Sim's System in place,
-// so a Sim driven by events must own its System exclusively (FromGame
-// builds a fresh System per call, which every wiring path in this repo
-// uses).
+// is a mass source/sink with a population rescale, latency scaling keeps
+// one latency.Amplified layer per link around its unscaled function, and
+// topology events grow or drain the mass vector. Each operation mutates
+// the Sim's System in place, so a Sim driven by events must own its System
+// exclusively (FromGame builds a fresh System per call, which every wiring
+// path in this repo uses).
 //
 // Fluid mass is relative (the simplex), so churn has to track the absolute
 // population the mass is scaled by: the per-link massLatency wrappers from
-// FromGame carry it. Arrive/Depart unwrap each link's amplification chain
-// down to its massLatency and retarget it to the new population — which is
-// why latency.Amplified exports its fields. Systems built directly from
-// base functions (NewSystem) have no population and reject churn.
+// FromGame carry it. Arrive/Depart take each link's unscaled function (its
+// massLatency), retarget it to the new population and put the link's
+// scale layer back on top. Systems built directly from base functions
+// (NewSystem) have no population and reject churn.
 
 // Arrive adds count players' worth of mass to the given link: existing
 // mass is rescaled by n/(n+count), the link gains count/(n+count), and
@@ -87,18 +87,26 @@ func (s *Sim) Depart(link, count int) error {
 	return nil
 }
 
-// ScaleLatency multiplies the given link's latency function by factor
-// (wrapping it in latency.Amplified) — the mean-field twin of the atomic
-// rush-hour event.
+// ScaleLatency multiplies the given link's latency function by factor —
+// the mean-field twin of the atomic rush-hour event. As in
+// game.ScaleLatency, firings compound into one stored factor: the link's
+// function is a single latency.Amplified around its unscaled function,
+// carrying the product of every factor in firing order. A product outside
+// (0, +Inf) is refused with ErrInvalid and leaves the Sim untouched.
 func (s *Sim) ScaleLatency(link int, factor float64) error {
 	if link < 0 || link >= len(s.y) {
 		return fmt.Errorf("%w: scale link %d out of range [0,%d)", ErrInvalid, link, len(s.y))
 	}
-	amp, err := latency.NewAmplified(s.sys.fns[link], factor)
+	prod := factor
+	if c := s.scale[link]; c != 0 {
+		prod = c * factor
+	}
+	amp, err := latency.NewAmplified(s.unscaled(link), prod)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: scaling link %d by %v compounds its latency factor: %w", ErrInvalid, link, factor, err)
 	}
 	s.sys.fns[link] = amp
+	s.scale[link] = prod
 	s.phi = s.sys.Potential(s.y)
 	return nil
 }
@@ -119,6 +127,7 @@ func (s *Sim) AddLink(base latency.Function) error {
 		fn = massLatency{base: base, n: pop}
 	}
 	s.sys.fns = append(s.sys.fns, fn)
+	s.scale = append(s.scale, 0)
 	m := len(s.sys.fns)
 	s.y = append(s.y, 0)
 	s.k1 = append(s.k1, 0)
@@ -154,49 +163,40 @@ func (s *Sim) RemoveLink(link, fallback int) error {
 }
 
 // population returns the absolute player count the system's mass is
-// scaled by, by unwrapping the first link's amplification chain down to
-// its massLatency wrapper.
+// scaled by: the target of the first link's massLatency wrapper.
 func (s *Sim) population() (float64, error) {
-	if pop, ok := unwrapPopulation(s.sys.fns[0]); ok {
+	if pop, ok := s.Population(); ok {
 		return pop, nil
 	}
 	return 0, fmt.Errorf("%w: system is not population-scaled (not built by FromGame) — churn events need an absolute population", ErrInvalid)
 }
 
-// retargetAll rewrites every link's latency wrapper to the new population.
+// retargetAll rewrites every link's massLatency wrapper to the new
+// population, keeping the link's scale layer on top.
 func (s *Sim) retargetAll(pop float64) error {
-	for e, fn := range s.sys.fns {
-		out, ok := retarget(fn, pop)
+	for e := range s.sys.fns {
+		ml, ok := s.unscaled(e).(massLatency)
 		if !ok {
 			return fmt.Errorf("%w: link %d is not population-scaled — churn events need every link built by FromGame or AddLink", ErrInvalid, e)
 		}
-		s.sys.fns[e] = out
+		s.sys.fns[e] = s.scaled(e, massLatency{base: ml.base, n: pop})
 	}
 	return nil
 }
 
-func unwrapPopulation(f latency.Function) (float64, bool) {
-	switch t := f.(type) {
-	case massLatency:
-		return t.n, true
-	case latency.Amplified:
-		return unwrapPopulation(t.F)
+// unscaled returns link e's function without the layer ScaleLatency puts
+// on top of it.
+func (s *Sim) unscaled(e int) latency.Function {
+	if s.scale[e] == 0 {
+		return s.sys.fns[e]
 	}
-	return 0, false
+	return s.sys.fns[e].(latency.Amplified).F
 }
 
-// retarget rebuilds a latency wrapper chain around a new population,
-// preserving any amplification layers stacked by ScaleLatency.
-func retarget(f latency.Function, pop float64) (latency.Function, bool) {
-	switch t := f.(type) {
-	case massLatency:
-		return massLatency{base: t.base, n: pop}, true
-	case latency.Amplified:
-		inner, ok := retarget(t.F, pop)
-		if !ok {
-			return nil, false
-		}
-		return latency.Amplified{F: inner, C: t.C}, true
+// scaled puts link e's scale layer, if it has one, around fn.
+func (s *Sim) scaled(e int, fn latency.Function) latency.Function {
+	if s.scale[e] == 0 {
+		return fn
 	}
-	return nil, false
+	return latency.Amplified{F: fn, C: s.scale[e]}
 }

@@ -2,8 +2,7 @@ package fluid
 
 import (
 	"fmt"
-
-	"congame/internal/latency"
+	"math"
 )
 
 // Checkpoint/restore for the mean-field backend (internal/checkpoint).
@@ -13,66 +12,40 @@ import (
 // maintained potential and last-round migration mass — all raw float bits,
 // since phi is accumulated Simpson segment by Simpson segment and a
 // recomputation would differ in the last ulp — plus each link's latency
-// WRAPPER CHAIN. The chain matters because churn and rush-hour events
-// mutate the System in place: Arrive/Depart retarget every massLatency
-// wrapper to a new population and ScaleLatency stacks latency.Amplified
-// layers. Those mutations cannot be replayed structurally on a fresh Sim —
-// Depart clamps against the live mass vector, so replaying it from a
-// different state retargets to the wrong population. Instead WrapChains
-// records the observed chain (amplification factors outermost-first plus
-// the population target) and Restore rebuilds exactly that chain around
-// each link's base function, reproducing the checkpointed Value
-// computations bit for bit. Topology events (AddLink) DO replay
-// structurally — they only grow buffers — which is the caller's job before
-// Restore; RemoveLink needs no replay at all (it only moves mass, which
-// the restored vector already reflects).
+// WRAPPERS. They matter because churn and rush-hour events mutate the
+// System in place: Arrive/Depart retarget every massLatency wrapper to a
+// new population and ScaleLatency compounds the link's scale factor. Those
+// mutations cannot be replayed structurally on a fresh Sim — Depart clamps
+// against the live mass vector, so replaying it from a different state
+// retargets to the wrong population. Instead WrapChains records each
+// link's population target and scale factor, and Restore puts exactly
+// those wrappers back around each link's base function, reproducing the
+// checkpointed Value computations bit for bit. Topology events (AddLink)
+// DO replay structurally — they only grow buffers — which is the caller's
+// job before Restore; RemoveLink needs no replay at all (it only moves
+// mass, which the restored vector already reflects).
 
-// LinkWrap describes one link's latency wrapper chain in a checkpoint:
-// the population target of its massLatency wrapper (0 for systems that are
-// not population-scaled) and the amplification factors of the stacked
-// latency.Amplified layers, outermost first.
+// LinkWrap describes one link's latency wrappers in a checkpoint: the
+// population target of its massLatency wrapper (0 for systems that are
+// not population-scaled) and the product of its ScaleLatency factors (0
+// for a link no latency-scale event has fired on).
 type LinkWrap struct {
-	Pop  float64
-	Amps []float64
+	Pop   float64
+	Scale float64
 }
 
-// WrapChains captures every link's current wrapper chain for a checkpoint.
+// WrapChains captures every link's current wrappers for a checkpoint.
 // The base functions themselves are not captured — a restore rebuilds them
 // from the scenario spec (FromGame plus AddLink replay) and rewraps.
 func (s *Sim) WrapChains() []LinkWrap {
 	out := make([]LinkWrap, len(s.sys.fns))
-	for e, fn := range s.sys.fns {
-		for {
-			amp, ok := fn.(latency.Amplified)
-			if !ok {
-				break
-			}
-			out[e].Amps = append(out[e].Amps, amp.C)
-			fn = amp.F
-		}
-		if ml, ok := fn.(massLatency); ok {
+	for e := range s.sys.fns {
+		out[e].Scale = s.scale[e]
+		if ml, ok := s.unscaled(e).(massLatency); ok {
 			out[e].Pop = ml.n
 		}
 	}
 	return out
-}
-
-// stripWrap unwraps event-stacked layers — outer latency.Amplified layers
-// and the massLatency population wrapper — down to the link's base
-// function. Amplification inside the base (part of the original game spec,
-// under the massLatency wrapper) is left intact: WrapChains's walk stops at
-// the massLatency too, so capture and strip see the same boundary.
-func stripWrap(f latency.Function) latency.Function {
-	for {
-		if amp, ok := f.(latency.Amplified); ok {
-			f = amp.F
-			continue
-		}
-		if ml, ok := f.(massLatency); ok {
-			return ml.base
-		}
-		return f
-	}
 }
 
 // Restore overwrites the simulator's trajectory state from a checkpoint:
@@ -92,18 +65,23 @@ func (s *Sim) Restore(round int, y []float64, phi, moveMass float64, wraps []Lin
 		return fmt.Errorf("%w: restore mass vector has %d links, sim has %d — replay AddLink events first", ErrInvalid, len(y), len(s.y))
 	}
 	if len(wraps) != len(s.sys.fns) {
-		return fmt.Errorf("%w: restore has %d wrapper chains, sim has %d links", ErrInvalid, len(wraps), len(s.sys.fns))
+		return fmt.Errorf("%w: restore has %d link wrappers, sim has %d links", ErrInvalid, len(wraps), len(s.sys.fns))
 	}
-	for e := range s.sys.fns {
-		base := stripWrap(s.sys.fns[e])
-		fn := base
-		if wraps[e].Pop > 0 {
-			fn = massLatency{base: base, n: wraps[e].Pop}
+	for e, w := range wraps {
+		if w.Scale < 0 || math.IsInf(w.Scale, 1) || math.IsNaN(w.Scale) {
+			return fmt.Errorf("%w: restore link %d scale factor %v, need 0 (none) or within (0, +Inf)", ErrInvalid, e, w.Scale)
 		}
-		for i := len(wraps[e].Amps) - 1; i >= 0; i-- {
-			fn = latency.Amplified{F: fn, C: wraps[e].Amps[i]}
+	}
+	for e, w := range wraps {
+		fn := s.unscaled(e)
+		if ml, ok := fn.(massLatency); ok {
+			fn = ml.base
 		}
-		s.sys.fns[e] = fn
+		if w.Pop > 0 {
+			fn = massLatency{base: fn, n: w.Pop}
+		}
+		s.scale[e] = w.Scale
+		s.sys.fns[e] = s.scaled(e, fn)
 	}
 	copy(s.y, y)
 	s.round = round

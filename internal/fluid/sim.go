@@ -61,6 +61,10 @@ type Sim struct {
 	euler    bool
 	phi      float64
 	moveMass float64
+	// scale is the product of each link's ScaleLatency factors, 0 until
+	// the link's first firing; a link with a factor evaluates
+	// latency.Amplified{F: its unscaled function, C: scale[e]}.
+	scale []float64
 
 	// integrator workspaces
 	k1, k2, k3, k4, tmp []float64
@@ -92,10 +96,8 @@ func (s *Sim) SetStepTimer(fn func(StepTimings)) { s.timer = fn }
 // latency functions are scaled by (systems built with FromGame), or
 // ok=false for hand-built systems that model no particular n.
 func (s *Sim) Population() (pop float64, ok bool) {
-	if len(s.sys.fns) == 0 {
-		return 0, false
-	}
-	return unwrapPopulation(s.sys.fns[0])
+	ml, ok := s.unscaled(0).(massLatency)
+	return ml.n, ok
 }
 
 // NewSim builds a simulator over sys starting from the mass vector y0
@@ -120,6 +122,7 @@ func NewSim(sys *System, y0 []float64, cfg SimConfig) (*Sim, error) {
 		y:         append([]float64(nil), y0...),
 		substeps:  substeps,
 		euler:     cfg.Euler,
+		scale:     make([]float64, m),
 		k1:        make([]float64, m),
 		k2:        make([]float64, m),
 		k3:        make([]float64, m),

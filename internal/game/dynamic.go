@@ -76,22 +76,27 @@ func (g *Game) ReviveStrategy(s int) error {
 	return nil
 }
 
-// ScaleLatency replaces resource e's latency function by c·ℓ_e (wrapping it
-// in latency.Amplified) and recomputes ν_P for every strategy containing e.
-// The recomputation sums per-resource slope bounds in CSR order — exactly
-// the order registerCanonical uses — so the updated ν values are
+// ScaleLatency multiplies resource e's latency function by c and
+// recomputes ν_P for every strategy containing e. Firings compound into
+// one stored factor: the resource's function becomes a single
+// latency.Amplified around its unscaled function, carrying the product of
+// every factor in firing order (DESIGN.md §10), so a later evaluation
+// costs the same however many firings came before. A product outside
+// (0, +Inf) is refused with ErrInvalid and leaves the game untouched.
+// The ν recomputation sums per-resource slope bounds in CSR order —
+// exactly the order registerCanonical uses — so the updated ν values are
 // bit-identical to those of a game constructed from scratch with the
 // amplified function.
 func (g *Game) ScaleLatency(e int, c float64) error {
 	if e < 0 || e >= len(g.resources) {
 		return fmt.Errorf("%w: scale resource %d out of range [0,%d)", ErrInvalid, e, len(g.resources))
 	}
-	amp, err := latency.NewAmplified(g.fns[e], c)
+	amp, err := latency.NewAmplified(g.resources[e].Latency, g.scale[e]*c)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: scaling resource %d by %v compounds its latency factor %v: %w", ErrInvalid, e, c, g.scale[e], err)
 	}
+	g.scale[e] = amp.C
 	g.fns[e] = amp
-	g.resources[e].Latency = amp
 	for _, sid := range g.resStrats[e] {
 		s := int(sid)
 		nu := 0.0
@@ -115,6 +120,7 @@ func (g *Game) AddResource(r Resource) (int, error) {
 	id := len(g.resources)
 	g.resources = append(g.resources, r)
 	g.fns = append(g.fns, r.Latency)
+	g.scale = append(g.scale, 1)
 	g.resStrats = append(g.resStrats, nil)
 	return id, nil
 }
@@ -217,9 +223,10 @@ func (st *State) RemovePlayers(s, count int) (float64, error) {
 }
 
 // ScaleLatency amplifies resource e's latency function by the factor c on
-// the underlying game, stamps e's mutation epoch so incremental views
-// refresh it, and returns the exact potential change
-// ΔΦ = (c−1)·Σ_{i=1..x_e} ℓ_e(i).
+// the underlying game (Game.ScaleLatency), stamps e's mutation epoch so
+// incremental views refresh it, and returns the exact potential change
+// ΔΦ = (c−1)·Σ_{i=1..x_e} ℓ_e(i): x_e evaluations of the link's one-layer
+// function.
 func (st *State) ScaleLatency(e int, c float64) (float64, error) {
 	g := st.g
 	if e < 0 || e >= len(g.resources) {

@@ -52,8 +52,9 @@ type Resource struct {
 // registration between rounds.
 type Game struct {
 	name      string
-	resources []Resource
-	fns       []latency.Function // resources[e].Latency, flat for the hot loops
+	resources []Resource         // as constructed or added; ScaleLatency leaves them unscaled
+	fns       []latency.Function // the evaluated latencies, flat for the hot loops (see scale)
+	scale     []float64          // product of each resource's ScaleLatency factors, 1 = none
 	n         int
 
 	// Interned strategies in a flat CSR (compressed sparse row) layout:
@@ -129,8 +130,10 @@ func New(cfg Config) (*Game, error) {
 	}
 
 	fns := make([]latency.Function, len(g.resources))
+	g.scale = make([]float64, len(g.resources))
 	for i, r := range g.resources {
 		fns[i] = r.Latency
+		g.scale[i] = 1
 	}
 	g.fns = fns
 	if cfg.Elasticity > 0 {
@@ -304,8 +307,14 @@ func (g *Game) NumResources() int { return len(g.resources) }
 // NumStrategies returns the number of registered strategies.
 func (g *Game) NumStrategies() int { return len(g.stratOff) - 1 }
 
-// Resource returns the resource with the given index.
-func (g *Game) Resource(e int) Resource { return g.resources[e] }
+// Resource returns the resource with the given index. Its Latency is the
+// function the game evaluates: once ScaleLatency has fired on e, one
+// latency.Amplified around the resource's unscaled function.
+func (g *Game) Resource(e int) Resource {
+	r := g.resources[e]
+	r.Latency = g.fns[e]
+	return r
+}
 
 // Strategy returns a copy of the resource list of the given strategy.
 func (g *Game) Strategy(s int) []int {
@@ -389,9 +398,9 @@ func (g *Game) Nu() float64 {
 // MinEmptyLatency returns ℓmin = min_e ℓ_e(1), the minimum latency of an
 // almost-empty resource, used by the EXPLORATION PROTOCOL's damping factor.
 func (g *Game) MinEmptyLatency() float64 {
-	best := g.resources[0].Latency.Value(1)
-	for _, r := range g.resources[1:] {
-		if v := r.Latency.Value(1); v < best {
+	best := g.fns[0].Value(1)
+	for _, f := range g.fns[1:] {
+		if v := f.Value(1); v < best {
 			best = v
 		}
 	}
@@ -401,11 +410,7 @@ func (g *Game) MinEmptyLatency() float64 {
 // MaxSlope returns β, an upper bound on the maximum one-player latency step
 // max_e max_{x∈{1..n}} ℓ_e(x)−ℓ_e(x−1), used by the EXPLORATION PROTOCOL.
 func (g *Game) MaxSlope() float64 {
-	fns := make([]latency.Function, len(g.resources))
-	for i, r := range g.resources {
-		fns[i] = r.Latency
-	}
-	return latency.MaxSlopeBound(fns, g.n)
+	return latency.MaxSlopeBound(g.fns, g.n)
 }
 
 // MaxStrategyLatency returns an upper bound on ℓmax = max_x max_P ℓ_P(x)

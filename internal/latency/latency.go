@@ -370,9 +370,12 @@ func (f Scaled) String() string {
 // Amplified wraps a function as c·ℓ(x): pure output scaling, the "rush
 // hour" model where a link's latency curve is uniformly amplified (or, for
 // c < 1, relieved) without changing its shape. Output scaling leaves the
-// elasticity ℓ'(x)·x/ℓ(x) untouched while ν_e scales by c. The fields are
-// exported so population-rescaling code (internal/fluid) can unwrap the
-// amplification chain and retarget the base function.
+// elasticity ℓ'(x)·x/ℓ(x) untouched while ν_e scales by c. Latency-scale
+// events never nest one Amplified inside another: game and fluid keep one
+// layer per link whose C is the product of every factor fired on it, so
+// there is no chain to unwrap. The fields are exported so population
+// rescaling (internal/fluid) can lift that one layer off the link's
+// function, retarget what is under it and put the layer back.
 type Amplified struct {
 	F Function
 	C float64 // amplification factor, > 0

@@ -193,11 +193,12 @@ func (s *Spec) tableSkeleton() sim.Table {
 }
 
 // engineWorkers resolves the per-replication engine worker count: an
-// explicit value wins; on auto (0), replication-parallel runs use
+// explicit value wins; on auto (0), replications that run in parallel use
 // sequential engines so the two axes don't multiply into GOMAXPROCS²
-// goroutines. Output-invariant either way.
+// goroutines, and a lone replication (one rep, or par 1) gets the engine's
+// own auto count. Output-invariant either way.
 func (s *Spec) engineWorkers() int {
-	if s.Workers == 0 && runner.Parallelism(s.Par) > 1 {
+	if s.Workers == 0 && min(runner.Parallelism(s.Par), s.Reps) > 1 {
 		return 1
 	}
 	return s.Workers

@@ -309,7 +309,18 @@ func (s *Spec) Validate() error {
 		if s.Version < 2 {
 			return fmt.Errorf("%w: events require version 2, spec declares version %d", ErrInvalid, s.Version)
 		}
-		if _, err := events.NewSchedule(s.Events); err != nil {
+		sched, err := events.NewSchedule(s.Events)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalid, err)
+		}
+		// The quick budget is checked too: the firings within the shorter
+		// budget are a prefix of those within the longer one, so checking
+		// the longer covers both.
+		rounds := s.Rounds
+		if s.Quick != nil {
+			rounds = max(rounds, s.Quick.Rounds)
+		}
+		if err := sched.CheckScaling(rounds); err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
 	}
