@@ -16,7 +16,7 @@ GO ?= go
 
 SCENARIOS := e2-monomial-singletons e3-poly-network braess-combined fluid-vs-exact churn-recovery
 
-BENCH_BASELINE ?= BENCH_PR12.json
+BENCH_BASELINE ?= BENCH_PR21.json
 # Short per-benchmark run time for the CI gate; `make bench` uses the
 # default 1s for the committed baseline.
 BENCH_GATE_TIME ?= 0.3s
@@ -75,7 +75,7 @@ vet: ## go vet ./...
 fmt: ## Fail if any file needs gofmt.
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-bench: ## Regenerate the committed benchmark baseline (BENCH_PR12.json), built with the committed PGO profile.
+bench: ## Regenerate the committed benchmark baseline (BENCH_PR21.json), built with the committed PGO profile.
 	$(GO) run $(PGO_FLAG) ./cmd/bench -out $(BENCH_BASELINE)
 
 bench-gate: ## Run the short bench suite (PGO build) and diff it against the committed baseline (CI perf gate).

@@ -27,7 +27,7 @@
 // n = 65536 round with a full obs registry, step timer, and NDJSON
 // journal attached (compare against engine/step/heavy-n65536/w1 for the
 // instrumentation cost; `bench overhead` gates that ratio).
-// `make bench` regenerates the committed BENCH_PR12.json baseline; plain
+// `make bench` regenerates the committed BENCH_PR21.json baseline; plain
 // runs default to bench.json so a local run cannot clobber the committed
 // baselines. -only restricts a run to matching benchmarks (for profiling
 // or the CI scaling table — partial reports must not become baselines),

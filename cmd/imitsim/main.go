@@ -130,14 +130,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "imitsim: %v\n", err)
 		return 2
 	}
+	var j *obs.Journal
 	if *journalFlag != "" || reg != nil {
-		var j *obs.Journal
 		if *journalFlag != "" {
 			if j, err = obs.OpenJournal(*journalFlag); err != nil {
 				fmt.Fprintf(os.Stderr, "imitsim: %v\n", err)
 				return 1
 			}
-			defer j.Close()
 		}
 		// Single-run rows carry no cell/rep attribution (-1 omits them).
 		dynamics.Instrument(dynamics.FromEngine(engine), reg, j, -1, -1)
@@ -156,6 +155,13 @@ func run() int {
 		nu = 0
 	}
 	res := engine.Run(*roundsFlag, core.StopWhenApproxEq(*deltaFlag, *epsFlag, nu))
+	if j != nil {
+		// The journal buffers its rows, so a full disk may only show here.
+		if err := j.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "imitsim: journal: %v\n", err)
+			return 1
+		}
+	}
 
 	fmt.Printf("\nran %d rounds (%d migrations total)\n", res.Rounds, res.TotalMoves)
 	if res.Converged {

@@ -109,9 +109,8 @@ type Engine struct {
 	preRound  PreRoundHook
 	timer     StepTimer
 	view      *game.RoundView
-	streams   []*prng.Reusable // one reusable decision stream per worker
-	blocks    []*prng.Block    // one batched PRNG block per worker
-	deltas    []*game.Delta    // one private migration buffer per worker
+	shards    []*shard      // one set of decide buffers per worker
+	deltas    []*game.Delta // one private migration buffer per worker
 
 	// Persistent workers for the sharded round's decide and replay
 	// fan-outs (see pool.go); nil until the first multi-worker Step.
@@ -262,21 +261,20 @@ func (l *lazySnapshot) PlayerLatency(p int) float64 { return l.view().PlayerLate
 func (l *lazySnapshot) AvgLatency() float64         { return l.view().AvgLatency() }
 func (l *lazySnapshot) AvgJoinLatency() float64     { return l.view().AvgJoinLatency() }
 
-// stream returns the lazily allocated reusable PRNG stream for a worker.
-func (e *Engine) stream(w int) *prng.Reusable {
-	for len(e.streams) <= w {
-		e.streams = append(e.streams, prng.NewReusable())
-	}
-	return e.streams[w]
+// shard is one worker's reusable decide-phase buffers, kept across
+// rounds so that a warmed-up round allocates nothing.
+type shard struct {
+	stream *prng.Reusable // the generic loop's per-player stream
+	blk    *prng.Block    // the kernels' batched draws, one tile at a time
+	ceil   []float64      // the singleton kernel's per-strategy move ceilings
 }
 
-// block returns the lazily allocated batched PRNG block for a worker (the
-// devirtualized kernels' per-shard draw buffer).
-func (e *Engine) block(w int) *prng.Block {
-	for len(e.blocks) <= w {
-		e.blocks = append(e.blocks, prng.NewBlock(kernelDraws))
+// shard returns the lazily allocated decide buffers for a worker.
+func (e *Engine) shard(w int) *shard {
+	for len(e.shards) <= w {
+		e.shards = append(e.shards, &shard{stream: prng.NewReusable(), blk: prng.NewBlock(kernelDraws)})
 	}
-	return e.blocks[w]
+	return e.shards[w]
 }
 
 // delta returns the lazily allocated migration buffer for a worker, reset
@@ -348,7 +346,7 @@ func (e *Engine) Step() RoundStats {
 	var movers, newStrategies int
 	if workers <= 1 {
 		d := e.delta(0)
-		decideRange(e.proto, view, 0, n, d, e.stream(0), e.block(0), e.seed, uint64(e.round))
+		decideRange(e.proto, view, 0, n, d, e.shard(0), e.seed, uint64(e.round))
 		if e.timer != nil {
 			now := time.Now()
 			t.Decide = now.Sub(mark)
@@ -404,8 +402,7 @@ func (e *Engine) stepSharded(view *game.RoundView, n, workers int, t *StepTiming
 	used := (n + chunk - 1) / chunk
 	for w := 0; w < used; w++ {
 		e.delta(w) // reset this round's arenas before any shard runs
-		e.stream(w)
-		e.block(w)
+		e.shard(w)
 	}
 	if e.pool == nil {
 		e.pool = pool.New[poolJob]()
@@ -421,11 +418,11 @@ func (e *Engine) stepSharded(view *game.RoundView, n, workers int, t *StepTiming
 		e.pool.Go(poolJob{
 			proto: e.proto, view: view,
 			lo: w * chunk, hi: hi,
-			d: e.deltas[w], stream: e.streams[w], blk: e.blocks[w],
+			d: e.deltas[w], sh: e.shards[w],
 			seed: e.seed, round: round,
 		})
 	}
-	decideRange(e.proto, view, 0, chunk, e.deltas[0], e.streams[0], e.blocks[0], e.seed, round)
+	decideRange(e.proto, view, 0, chunk, e.deltas[0], e.shards[0], e.seed, round)
 	e.pool.Wait()
 	if t != nil {
 		now := time.Now()

@@ -54,7 +54,10 @@ var multiTileNs = []int{4 * prng.Tile, 3*prng.Tile + 1001}
 // TestKernelMatchesGenericSingleton pins the flattened symmetric-singleton
 // kernel against the reference loop, at power-of-two and non-power-of-two
 // player counts (mask vs modulo Int31n derivations) within one tile and
-// across several, and across worker counts.
+// across several, and across worker counts. Two more inputs run the
+// move ceilings at their extremes: DisableNu (ν = 0), and an
+// imitation-stable start on which every ceiling is −1, so every shard
+// returns before its fill.
 func TestKernelMatchesGenericSingleton(t *testing.T) {
 	for _, n := range append([]int{1024, 1000, 1021}, multiTileNs...) {
 		inst, err := workload.HeavyTraffic(n, 16, prng.New(3))
@@ -67,6 +70,66 @@ func TestKernelMatchesGenericSingleton(t *testing.T) {
 		}
 		for _, w := range workerCounts() {
 			runKernelParity(t, inst.State, im, w, 40)
+		}
+	}
+	inst, err := workload.HeavyTraffic(multiTileNs[1], 16, prng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noNu, err := NewImitation(inst.Game, ImitationConfig{DisableNu: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workerCounts() {
+		runKernelParity(t, inst.State, noNu, w, 40)
+	}
+	for _, n := range multiTileNs {
+		st := stableStart(t, n)
+		im, err := NewImitation(st.Game(), ImitationConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllCeilingsCut(t, st, im.Nu())
+		for _, w := range workerCounts() {
+			runKernelParity(t, st, im, w, 5)
+		}
+	}
+}
+
+// stableStart returns n players spread as evenly as possible over 16
+// identical linear links: every load is x or x+1, so no player gains by
+// imitating anyone, even at ν = 0.
+func stableStart(t *testing.T, n int) *game.State {
+	t.Helper()
+	inst, err := workload.UniformSingletons(16, n, prng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int32, n)
+	for p := range assign {
+		assign[p] = int32(p % 16)
+	}
+	st, err := game.NewStateFromAssignment(inst.Game, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// requireAllCeilingsCut checks, from the state's own latency evaluations
+// rather than the kernel's ceilings, that every support strategy s has
+// ℓ_s − ℓ⁺_t ≤ ν for every support strategy t, or ℓ_s ≤ 0. Then every
+// ceiling is −1 and the kernel's early return is what the parity run
+// exercises, instead of passing vacuously.
+func requireAllCeilingsCut(t *testing.T, st *game.State, nu float64) {
+	t.Helper()
+	support := st.Support()
+	for _, s := range support {
+		lp := st.StrategyLatency(s)
+		for _, to := range support {
+			if gain := lp - st.JoinLatency(to); gain > nu && lp > 0 {
+				t.Fatalf("strategy %d gains %v > ν = %v by joining %d: not every ceiling is −1", s, gain, nu, to)
+			}
 		}
 	}
 }
@@ -164,7 +227,8 @@ func TestKernelMatchesGenericVirtual(t *testing.T) {
 }
 
 // TestKernelMatchesGenericUndamped pins the UndampedImitation kernel (the
-// E5 ablation path).
+// E5 ablation path) at ν = 0, at the game's derived ν, and on an
+// imitation-stable start on which every ceiling is −1.
 func TestKernelMatchesGenericUndamped(t *testing.T) {
 	for _, n := range append([]int{777}, multiTileNs...) {
 		inst, err := workload.HeavyTraffic(n, 8, prng.New(11))
@@ -177,6 +241,28 @@ func TestKernelMatchesGenericUndamped(t *testing.T) {
 		}
 		for _, w := range workerCounts() {
 			runKernelParity(t, inst.State, u, w, 40)
+		}
+	}
+	inst, err := workload.HeavyTraffic(multiTileNs[1], 8, prng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withNu, err := NewUndampedImitation(inst.Game, 0.25, inst.Game.Nu())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workerCounts() {
+		runKernelParity(t, inst.State, withNu, w, 40)
+	}
+	for _, n := range multiTileNs {
+		st := stableStart(t, n)
+		u, err := NewUndampedImitation(st.Game(), 0.25, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllCeilingsCut(t, st, 0)
+		for _, w := range workerCounts() {
+			runKernelParity(t, st, u, w, 5)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"congame/internal/game"
 	"congame/internal/prng"
 )
@@ -11,16 +13,19 @@ import (
 // 3-word stream re-seed (Reusable.Reset3) and an interface-dispatched
 // Source64 draw inside every rand.Rand method. For the protocols the
 // engine actually runs hot — Imitation, VirtualImitation,
-// UndampedImitation — decideTile instead type-switches to the
-// monomorphic loops below, one prng.Tile of the shard at a time: the
-// worker's prng.Block fills the tile's first-2 stream outputs in one tight
-// batched pass, and each player's decision consumes those draws through a
-// stack cursor in the exact order the scalar path consumes its rand.Rand
-// draws. Decisions, draw counts, and float evaluation order are
-// identical, so trajectories are bit-identical to the generic path
-// (pinned by TestKernelMatchesGeneric and every parity/golden wall), and
-// tile edges never show: every player's decision reads only its own
-// draws and the round-start view. Exploration, Combined, and
+// UndampedImitation — decideRange instead type-switches, once per shard,
+// to the monomorphic loops below, which walk the shard one prng.Tile at a
+// time: the worker's prng.Block fills the tile's first-2 stream outputs in
+// one tight batched pass, and each player's decision consumes those draws
+// through a stack cursor in the exact order the scalar path consumes its
+// rand.Rand draws. The symmetric-singleton loop also skips, before
+// reading any peer, every player whose migration draw already rules out
+// a move (moveCeilings, imitateSingletonTile); a skipped player would
+// have stayed, so skipping it is invisible. Decisions, draw counts, and
+// float evaluation order are identical, so trajectories are
+// bit-identical to the generic path (pinned by TestKernelMatchesGeneric
+// and every parity/golden wall), and tile edges never show: every
+// player's decision reads only its own draws and the round-start view. Exploration, Combined, and
 // user-supplied protocols keep the generic path: their draw counts are
 // strategy-space dependent, which batching cannot anticipate — the
 // reference loop stays the semantic ground truth either way.
@@ -31,72 +36,134 @@ import (
 // scalar continuation of the same stream.
 const kernelDraws = 2
 
-// decideImitationRange is Imitation.Decide inlined over one tile: sample
+// decideImitationRange is Imitation.Decide inlined over one shard: sample
 // a class peer, adopt its strategy with probability (λ/d)·gain/ℓ_P when
 // the gain clears ν. The probability chain evaluates λ/d first (hoisted
 // here), then ·gain, then /ℓ_P — the scalar expression's exact
 // association.
-func decideImitationRange(im *Imitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {
-	imitateRange(im.g, view, lo, hi, d, blk, seed, round, im.nu, im.lambda/im.d)
+func decideImitationRange(im *Imitation, view *game.RoundView, lo, hi int, d *game.Delta, sh *shard, seed, round uint64) {
+	imitateRange(im.g, view, lo, hi, d, sh, seed, round, im.nu, im.lambda/im.d)
 }
 
-// decideUndampedRange is UndampedImitation.Decide inlined over one tile
+// decideUndampedRange is UndampedImitation.Decide inlined over one shard
 // (the E5 overshooting ablation): the same loop with the 1/d damping
 // dropped from the probability scale.
-func decideUndampedRange(u *UndampedImitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {
-	imitateRange(u.g, view, lo, hi, d, blk, seed, round, u.nu, u.lambda)
+func decideUndampedRange(u *UndampedImitation, view *game.RoundView, lo, hi int, d *game.Delta, sh *shard, seed, round uint64) {
+	imitateRange(u.g, view, lo, hi, d, sh, seed, round, u.nu, u.lambda)
 }
 
-// imitateRange is the shared imitation loop over one tile: peer sample,
-// anticipated gain against the round-start view, migrate when a Float64
-// draw clears scale·gain/ℓ_P. Symmetric singleton games (the
-// parallel-links setting all heavy workloads use) take a
+// imitateRange is the shared imitation loop over one shard, one prng.Tile
+// at a time: peer sample, anticipated gain against the round-start view,
+// migrate when a Float64 draw clears scale·gain/ℓ_P. Symmetric singleton
+// games (the parallel-links setting all heavy workloads use) take a
 // further-specialized variant: the peer sample is a bare Intn (no class
 // table) and the switch latency collapses to the O(1) JoinLatency lookup
 // — for disjoint singleton strategies ℓ_to(x+1_to−1_from) is exactly
 // ℓ⁺_to(x), the same table cell RoundView.SwitchLatency's singleton path
-// reads.
-func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64, nu, scale float64) {
-	blk.Fill(seed, round, lo, hi)
-	if g.IsSingleton() && g.NumClasses() == 1 && g.NumPlayers() < 1<<31 {
-		imitateSingletonRange(g.NumPlayers(), view, lo, d, blk, nu, scale)
-		return
+// reads. That variant first computes the shard's move ceilings, once per
+// round, and returns before any fill when nobody can move.
+func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta, sh *shard, seed, round uint64, nu, scale float64) {
+	n := g.NumPlayers()
+	singleton := g.IsSingleton() && g.NumClasses() == 1 && n < 1<<31
+	if singleton {
+		var movable bool
+		if sh.ceil, movable = moveCeilings(view, nu, scale, sh.ceil); !movable {
+			return
+		}
 	}
-	for p := lo; p < hi; p++ {
-		cur := blk.Cursor(p)
-		sampled := g.SamplePeerCursor(p, &cur)
-		from := view.Assign(p)
-		to := view.Assign(sampled)
-		if from == to {
+	blk := sh.blk
+	for t := lo; t < hi; t += prng.Tile {
+		end := min(t+prng.Tile, hi)
+		blk.Fill(seed, round, t, end)
+		if singleton {
+			imitateSingletonTile(n, view, t, d, blk, sh.ceil, nu, scale)
 			continue
 		}
-		lp := view.StrategyLatency(from)
-		gain := lp - view.SwitchLatency(from, to)
-		if gain <= nu || lp <= 0 {
-			continue
-		}
-		if cur.Float64() < scale*gain/lp {
-			d.RecordMove(p, to)
+		for p := t; p < end; p++ {
+			cur := blk.Cursor(p)
+			sampled := g.SamplePeerCursor(p, &cur)
+			from := view.Assign(p)
+			to := view.Assign(sampled)
+			if from == to {
+				continue
+			}
+			lp := view.StrategyLatency(from)
+			gain := lp - view.SwitchLatency(from, to)
+			if gain <= nu || lp <= 0 {
+				continue
+			}
+			if cur.Float64() < scale*gain/lp {
+				d.RecordMove(p, to)
+			}
 		}
 	}
 }
 
-// imitateSingletonRange is the flattened symmetric-singleton loop over
-// one filled tile, in two passes. Block.Gather first loads every player's
-// sampled peer strategy into the block's peer buffer in one branch-free
-// pass, so the tile's random assign[q] reads — the round's dominant cost
-// at large n — overlap instead of each stalling the decision that
-// consumes it. The decide pass then runs the decision body against the
-// buffer, reading the second word as Float64 = float64(int64(u64 >> 1)) /
-// 2^63. The two rare cases that need draws beyond the formulas (Int31n
-// rejection, which Gather marks -1, and the 2^-53 Float64
-// resample-on-1.0) replay the whole player through a Cursor from draw 0,
-// so consumption and values stay exactly the scalar path's.
-func imitateSingletonRange(n int, view *game.RoundView, lo int, d *game.Delta, blk *prng.Block, nu, scale float64) {
+// moveCeilings sets ceil[s], for every registered strategy s, to a bound
+// on the move probability scale·gain/ℓ_s of any player on s this round,
+// and reports whether a player on any support strategy can move at all.
+// It grows ceil to the strategy count and returns it.
+//
+// Imitation cannot discover unused strategies: a sampled peer holds a
+// strategy in the support, so gain = ℓ_s − ℓ⁺_to ≤ ℓ_s − minJoin, with
+// minJoin the least JoinLatency over the strategies with Count > 0 (an
+// empty strategy with a lower join latency is no peer's). IEEE
+// subtraction is monotone, and so are multiplication and division by a
+// positive number, so ceil[s] = scale·(ℓ_s − minJoin)/ℓ_s, evaluated in
+// the kernel's association, is at least the kernel's scale·gain/ℓ_s for
+// every peer. A player whose second draw f satisfies f ≥ ceil[s] stays,
+// whatever its peer. When ℓ_s − minJoin ≤ ν or ℓ_s ≤ 0, every gain fails
+// the kernel's gain > ν, ℓ_s > 0 test, and ceil[s] = −1 (below every f).
+// NaN ceilings (an infinite latency) exclude nobody.
+func moveCeilings(view *game.RoundView, nu, scale float64, ceil []float64) ([]float64, bool) {
+	k := view.Game().NumStrategies()
+	if cap(ceil) < k {
+		ceil = make([]float64, k)
+	}
+	ceil = ceil[:k]
+	minJoin := math.Inf(1)
+	for s := range ceil {
+		if j := view.JoinLatency(s); j < minJoin && view.Count(s) > 0 {
+			minJoin = j
+		}
+	}
+	movable := false
+	for s := range ceil {
+		lp := view.StrategyLatency(s)
+		best := lp - minJoin
+		if best <= nu || lp <= 0 {
+			ceil[s] = -1
+			continue
+		}
+		ceil[s] = scale * best / lp
+		movable = movable || view.Count(s) > 0
+	}
+	return ceil, movable
+}
+
+// imitateSingletonTile is the flattened symmetric-singleton loop over one
+// filled tile. Block.Candidates first drops every player whose second
+// draw f is at least its strategy's ceiling (moveCeilings): such a player
+// stays whatever its peer, so its peer is never read. That pass streams
+// assign[p] and the buffered draws; only the kept players (7% on
+// rush-4m) then load their sampled peer's strategy assign[q] into the
+// block's peer buffer, branch-free, so those random reads — the round's
+// dominant cost at large n before the filter — overlap instead of each
+// stalling the decision that consumes it. The decide pass runs the
+// decision body on the kept players against the buffer, reading the
+// second word as Float64 = float64(int64(u64 >> 1)) / 2^63. The two rare
+// cases that need draws beyond the formulas (Int31n rejection, which the
+// gather marks -1, and the 2^-53 Float64 resample-on-1.0) are always kept
+// and replay the whole player through a Cursor from draw 0, so
+// consumption and values stay exactly the scalar path's. Skipping a
+// player changes nobody else's draws: each player's draws are its own
+// counter-based stream (DESIGN.md §4).
+func imitateSingletonTile(n int, view *game.RoundView, lo int, d *game.Delta, blk *prng.Block, ceil []float64, nu, scale float64) {
 	assign := view.State().AssignmentView()
-	peers := blk.Gather(assign, n)
-	raw := blk.Raw()[:kernelDraws*len(peers)]
-	for i, to32 := range peers {
+	idx, peers := blk.Candidates(assign, n, ceil)
+	raw := blk.Raw()
+	for j, to32 := range peers {
+		i := int(idx[j])
 		p := lo + i
 		if to32 < 0 {
 			// Rejection: Int31n needs more draws than the formula covers.
@@ -129,7 +196,7 @@ func imitateSingletonRange(n int, view *game.RoundView, lo int, d *game.Delta, b
 
 // imitateSingletonPlayer replays one symmetric-singleton decision through
 // a cursor positioned at the player's first draw — the slow-path twin of
-// imitateSingletonRange's loop body, used when a decision needs draws the
+// imitateSingletonTile's loop body, used when a decision needs draws the
 // flattened formulas cannot serve.
 func imitateSingletonPlayer(n int, view *game.RoundView, p int, d *game.Delta, cur *prng.Cursor, nu, scale float64) {
 	to := view.Assign(cur.Intn(n))
@@ -147,41 +214,45 @@ func imitateSingletonPlayer(n int, view *game.RoundView, p int, d *game.Delta, c
 	}
 }
 
-// decideVirtualRange is VirtualImitation.Decide inlined over one tile:
-// sample among n real players plus K virtual agents pinned to the
-// registered strategies, then apply the imitation rule. Virtual games are
-// symmetric by construction (the constructor enforces one class).
+// decideVirtualRange is VirtualImitation.Decide inlined over one shard,
+// one prng.Tile at a time: sample among n real players plus K virtual
+// agents pinned to the registered strategies, then apply the imitation
+// rule. Virtual games are symmetric by construction (the constructor
+// enforces one class).
 func decideVirtualRange(vi *VirtualImitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {
 	n := vi.g.NumPlayers()
 	k := vi.g.NumStrategies()
 	nu := vi.nu
 	scale := vi.lambda / vi.d
 	singleton := vi.g.IsSingleton()
-	blk.Fill(seed, round, lo, hi)
-	for p := lo; p < hi; p++ {
-		cur := blk.Cursor(p)
-		var to int
-		if u := cur.Intn(n + k); u < n {
-			to = view.Assign(u)
-		} else {
-			to = u - n // a virtual agent pinned to strategy u−n
-		}
-		from := view.Assign(p)
-		if from == to {
-			continue
-		}
-		lp := view.StrategyLatency(from)
-		var gain float64
-		if singleton {
-			gain = lp - view.JoinLatency(to)
-		} else {
-			gain = lp - view.SwitchLatency(from, to)
-		}
-		if gain <= nu || lp <= 0 {
-			continue
-		}
-		if cur.Float64() < scale*gain/lp {
-			d.RecordMove(p, to)
+	for t := lo; t < hi; t += prng.Tile {
+		end := min(t+prng.Tile, hi)
+		blk.Fill(seed, round, t, end)
+		for p := t; p < end; p++ {
+			cur := blk.Cursor(p)
+			var to int
+			if u := cur.Intn(n + k); u < n {
+				to = view.Assign(u)
+			} else {
+				to = u - n // a virtual agent pinned to strategy u−n
+			}
+			from := view.Assign(p)
+			if from == to {
+				continue
+			}
+			lp := view.StrategyLatency(from)
+			var gain float64
+			if singleton {
+				gain = lp - view.JoinLatency(to)
+			} else {
+				gain = lp - view.SwitchLatency(from, to)
+			}
+			if gain <= nu || lp <= 0 {
+				continue
+			}
+			if cur.Float64() < scale*gain/lp {
+				d.RecordMove(p, to)
+			}
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"congame/internal/game"
-	"congame/internal/prng"
-)
+import "congame/internal/game"
 
 // The parallel round used to spawn fresh goroutines every Step (decide
 // fan-out, replay fan-out), which cost ~10 heap allocations per round at
@@ -22,8 +19,7 @@ type poolJob struct {
 	view   *game.RoundView
 	lo, hi int
 	d      *game.Delta
-	stream *prng.Reusable
-	blk    *prng.Block
+	sh     *shard
 	seed   uint64
 	round  uint64
 }
@@ -34,40 +30,33 @@ func (j poolJob) Run() {
 		j.d.Replay()
 		return
 	}
-	decideRange(j.proto, j.view, j.lo, j.hi, j.d, j.stream, j.blk, j.seed, j.round)
+	decideRange(j.proto, j.view, j.lo, j.hi, j.d, j.sh, j.seed, j.round)
 }
 
 // decideRange decides players [lo, hi) against the shared round-start view
 // and records the resulting migrations into the shard's private delta —
 // the same code path for the inline single-worker round, the caller's own
 // shard, and every pool worker, so decisions are identical regardless of
-// where a shard runs. It walks the shard in prng.Tile-player tiles, so the
-// worker's block stays one cache-sized tile whatever the shard size.
-// Every decision reads only its own player's draws and the round-start
-// view, so neither shard nor tile edges ever show up in a trajectory.
-func decideRange(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta, stream *prng.Reusable, blk *prng.Block, seed, round uint64) {
-	for t := lo; t < hi; t += prng.Tile {
-		decideTile(proto, view, t, min(t+prng.Tile, hi), d, stream, blk, seed, round)
-	}
-}
-
-// decideTile decides one tile. The imitation-family protocols dispatch to
-// the devirtualized blocked kernels (kernels.go); everything else —
-// innovative protocols with data-dependent draw counts, user protocols —
-// runs the generic reference loop over the scalar per-player streams.
-// Both faces consume identical draw sequences, so the split never shows
-// up in a trajectory.
-func decideTile(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta, stream *prng.Reusable, blk *prng.Block, seed, round uint64) {
+// where a shard runs. The imitation-family protocols dispatch, once per
+// shard, to the devirtualized blocked kernels (kernels.go), which walk
+// the shard in prng.Tile-player tiles so the worker's block stays one
+// cache-sized tile whatever the shard size. Everything else — innovative
+// protocols with data-dependent draw counts, user protocols — runs the
+// generic reference loop over the scalar per-player streams. Both faces
+// consume identical draw sequences, and every decision reads only its own
+// player's draws and the round-start view, so neither the split nor shard
+// or tile edges ever show up in a trajectory.
+func decideRange(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta, sh *shard, seed, round uint64) {
 	switch pr := proto.(type) {
 	case *Imitation:
-		decideImitationRange(pr, view, lo, hi, d, blk, seed, round)
+		decideImitationRange(pr, view, lo, hi, d, sh, seed, round)
 	case *VirtualImitation:
-		decideVirtualRange(pr, view, lo, hi, d, blk, seed, round)
+		decideVirtualRange(pr, view, lo, hi, d, sh.blk, seed, round)
 	case *UndampedImitation:
-		decideUndampedRange(pr, view, lo, hi, d, blk, seed, round)
+		decideUndampedRange(pr, view, lo, hi, d, sh, seed, round)
 	default:
 		for p := lo; p < hi; p++ {
-			dec := proto.Decide(view, p, stream.Reset3(seed, round, uint64(p)))
+			dec := proto.Decide(view, p, sh.stream.Reset3(seed, round, uint64(p)))
 			if !dec.Move {
 				continue
 			}

@@ -41,24 +41,26 @@ func mixFinalize(z uint64) uint64 {
 // Tile is the number of players a decision kernel fills and decides at a
 // time. The engines walk each worker's shard in tiles of this size, so a
 // Block never holds more than one tile: at the kernels' K = 2 that is 16 B
-// of buffered draws, 8 B of stream state and 4 B of gathered peer
-// strategy per player, 56 KiB per tile — resident in a core's L2 while
-// the tile's peer loads are in flight, instead of a shard-sized buffer
-// streamed through memory (24 B per player, 48 MiB per worker at
-// n = 2^22). The value was chosen by measurement (DESIGN.md §11).
+// of buffered draws, 8 B of stream state, 4 B of gathered peer strategy
+// and 4 B of candidate offset per player, 64 KiB per tile — resident in a
+// core's L2 while the tile's peer loads are in flight, instead of a
+// shard-sized buffer streamed through memory (24 B per player, 48 MiB per
+// worker at n = 2^22). The value was chosen by measurement (DESIGN.md
+// §11).
 const Tile = 2048
 
 // Block holds the first K raw 64-bit outputs of the (seed, round, p)
 // decision streams for a contiguous player range [lo, hi), plus the peer
-// buffer Gather fills. One Block per worker is reused across rounds;
-// after the first fill at a range's high-water mark, Fill and Gather
-// allocate nothing.
+// and candidate buffers Gather and Candidates fill. One Block per worker
+// is reused across rounds; after the first fill at a range's high-water
+// mark, Fill, Gather and Candidates allocate nothing.
 type Block struct {
 	k      int
 	lo     int
 	buf    []uint64 // (hi-lo)*k raw outputs, player-major
 	states []uint64 // per player: SplitMix64 state after the k buffered draws
-	peers  []int32  // Gather's output: one peer strategy per player
+	peers  []int32  // Gather's and Candidates' output: peer strategies
+	cand   []int32  // Candidates' output: offsets of the kept players
 }
 
 // NewBlock returns a Block buffering the first k draws of each stream.
@@ -143,46 +145,117 @@ func (b *Block) Raw() []uint64 { return b.buf }
 // Lo returns the first player of the last filled range.
 func (b *Block) Lo() int { return b.lo }
 
+// int31nRule is Cursor.Int31n's rule for one bound n, applied to a raw
+// buffered word w instead of a live stream: the word's Int31 is
+// v = int32(w >> 33); Int31n accepts v when v ≤ max and returns v masked
+// to n−1 for a power-of-two n, v mod n otherwise. Above max it rejects v
+// and draws again, which a buffered word cannot serve. A power of two has
+// max = 2^31−1, so it never rejects. Gather and Candidates both derive
+// their peer indices here.
+type int31nRule struct{ n, max int32 }
+
+// newInt31nRule returns the rule for Intn(n); n must lie in [1, 2^31).
+func newInt31nRule(n int) int31nRule {
+	if n <= 0 || n >= 1<<31 {
+		panic("prng: invalid peer count")
+	}
+	n32 := int32(n)
+	return int31nRule{n: n32, max: int32((1 << 31) - 1 - (1<<31)%uint32(n32))}
+}
+
+// accepts reports whether Int31n keeps the Int31 of w rather than
+// resampling.
+func (r int31nRule) accepts(w uint64) bool { return int32(w>>33) <= r.max }
+
+// peer returns assign[Intn(n)] for the draw w, or -1 when Int31n rejects
+// w. The index v mod n is valid even for a rejected draw, so the load
+// carries no data-dependent branch.
+func (r int31nRule) peer(assign []int32, w uint64) int32 {
+	v := int32(w >> 33)
+	if r.n&(r.n-1) == 0 {
+		v &= r.n - 1
+	} else {
+		v %= r.n
+	}
+	s := assign[v]
+	if !r.accepts(w) {
+		s = -1
+	}
+	return s
+}
+
 // Gather fills the block's peer buffer for the last filled range and
 // returns it: entry i is assign[q] for player Lo()+i's peer q = Intn(n),
-// derived from the player's first buffered draw with Cursor.Int31n's
-// rule (Int31 = int32(u64 >> 33), then the mask for a power-of-two n, the
-// modulo otherwise). The loads carry no data-dependent branch, so a
-// tile's random assign reads are in flight at once instead of each
-// stalling the decision that consumes it. When Int31n would reject the
-// first draw and resample (never for a power-of-two n), the entry is -1:
-// the caller replays that player through a Cursor. n must lie in
-// [1, 2^31) and every assign value must be ≥ 0. The buffer is reused by
-// the next call.
+// derived from the player's first buffered draw by int31nRule. The loads
+// carry no data-dependent branch, so a tile's random assign reads are in
+// flight at once instead of each stalling the decision that consumes it.
+// When Int31n would reject the first draw and resample (never for a
+// power-of-two n), the entry is -1: the caller replays that player
+// through a Cursor. n must lie in [1, 2^31) and every assign value must
+// be ≥ 0. The buffer is reused by the next call.
 func (b *Block) Gather(assign []int32, n int) []int32 {
-	if n <= 0 || n >= 1<<31 {
-		panic("prng: invalid argument to Gather")
-	}
+	rule := newInt31nRule(n)
 	m := len(b.states)
-	if cap(b.peers) < m {
-		b.peers = make([]int32, m)
-	}
-	peers := b.peers[:m]
+	peers := grow(&b.peers, m)
 	k := b.k
 	raw := b.buf[:m*k]
-	n32 := int32(n)
-	if n32&(n32-1) == 0 {
-		mask := n32 - 1
-		for i := range peers {
-			peers[i] = assign[int32(raw[i*k]>>33)&mask]
-		}
-		return peers
-	}
-	maxv := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
 	for i := range peers {
-		v := int32(raw[i*k] >> 33)
-		s := assign[v%n32] // a valid index even for a rejected draw
-		if v > maxv {
-			s = -1
-		}
-		peers[i] = s
+		peers[i] = rule.peer(assign, raw[i*k])
 	}
 	return peers
+}
+
+// Candidates is Gather restricted to the players whose second draw can
+// still move them. Player Lo()+i sits on strategy s = assign[Lo()+i], and
+// its second buffered word reads as f = Float64 = float64(int64(w >> 1))
+// / 2^63. The pass skips the player when f ≥ ceil[s], unless Int31n
+// rejects its first draw or f == 1: in both cases the decision's Float64
+// comes from a later draw of the stream, so the player is kept. A NaN
+// ceiling therefore keeps everyone. The pass reads assign and the draws
+// sequentially; only kept players then load assign[q] at their peer
+// index. It returns the kept offsets idx, ascending, and peers, with
+// peers[j] equal to Gather's entry for player Lo()+idx[j]. The block must
+// buffer K ≥ 2 draws, n and assign are as for Gather, and every assign
+// value in the range must index ceil. Both buffers are reused by the next
+// call.
+func (b *Block) Candidates(assign []int32, n int, ceil []float64) (idx, peers []int32) {
+	rule := newInt31nRule(n)
+	if b.k < 2 {
+		panic("prng: Candidates needs two buffered draws")
+	}
+	m := len(b.states)
+	raw := b.buf[:m*b.k]
+	idx = grow(&b.cand, m)
+	idx = idx[:keep(idx, assign[b.lo:b.lo+m], raw, b.k, ceil, rule)]
+	peers = grow(&b.peers, m)[:len(idx)]
+	for j, i := range idx {
+		peers[j] = rule.peer(assign, raw[int(i)*b.k])
+	}
+	return idx, peers
+}
+
+// keep is Candidates' first pass over the players' strategies from and
+// their draws raw (stride k): it writes the offsets of the kept players,
+// ascending, to the front of idx and returns how many it kept.
+func keep(idx, from []int32, raw []uint64, k int, ceil []float64, rule int31nRule) int {
+	kept := 0
+	for i, s := range from {
+		w0, w1 := raw[i*k], raw[i*k+1]
+		f := float64(int64(w1>>1)) / (1 << 63) // rand.Float64
+		idx[kept] = int32(i)
+		if !(f >= ceil[s]) || f == 1 || !rule.accepts(w0) {
+			kept++
+		}
+	}
+	return kept
+}
+
+// grow returns (*buf)[:m], reallocating *buf when its capacity is short.
+func grow(buf *[]int32, m int) []int32 {
+	if cap(*buf) < m {
+		*buf = make([]int32, m)
+	}
+	return (*buf)[:m]
 }
 
 // Cursor returns a cursor over player p's draws. p must lie in the range

@@ -472,10 +472,12 @@ func (e *Engine) decideRange(lo, hi, n int, blk *prng.Block) {
 	}
 }
 
-// decideTile decides one tile in the core kernels' two passes: the
-// branch-free Block.Gather of every player's sampled peer link (-1 marks
-// an Int31n rejection), then the decision body against the gathered
-// links.
+// decideTile decides one tile in two passes: the branch-free
+// Block.Gather of every player's sampled peer link (-1 marks an Int31n
+// rejection), then the decision body against the gathered links. Unlike
+// the core singleton kernel it reads every player's peer: skipping a
+// player by its migration draw would need a bound on the weighted gain
+// that is monotone in floating point for each latency family.
 func (e *Engine) decideTile(lo, hi, n int, blk *prng.Block) {
 	blk.Fill(e.seed, uint64(e.round), lo, hi)
 	nu := e.proto.nu
