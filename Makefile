@@ -26,8 +26,9 @@ BENCH_GATE_TIME ?= 0.3s
 # each run — host noise, not code). +50% still catches a real blow-up,
 # and the gate's hard teeth are machine-independent anyway: any allocs/op
 # growth on a zero-alloc baseline fails regardless of tolerance. The
-# baseline itself is recorded at -benchtime 2s to average over steal
-# windows; the 0.3s gate run samples one window, hence the headroom.
+# baseline itself is recorded at cmd/bench's default -benchtime (1s, as
+# `make bench` passes none); the 0.3s gate run samples a shorter window,
+# hence the headroom.
 BENCH_TOL ?= 0.5
 # The million-player rounds move tens of megabytes per op and the par2
 # end-to-end rows timeshare two goroutines on one vCPU; both have been

@@ -18,6 +18,10 @@
 //	GET    /v1/jobs/{id}/result  rendered table (?format=text|csv|markdown|json)
 //	GET    /healthz, /metrics, /metrics.json, /debug/pprof/
 //
+// -jobs bounds the jobs executing at once. Each job runs its replications
+// at its spec's par (GOMAXPROCS when unset), so up to -jobs × par
+// replications run at once.
+//
 // All state lives under -state. On SIGINT/SIGTERM the daemon suspends
 // running jobs — each persists a checkpoint snapshot — and exits;
 // restarting on the same -state directory requeues and resumes them
@@ -45,7 +49,7 @@ func run() int {
 	var (
 		addrFlag  = flag.String("addr", "127.0.0.1:8642", "listen address for the HTTP API")
 		stateFlag = flag.String("state", "serve-state", "state directory (jobs, checkpoints, journals, results)")
-		jobsFlag  = flag.Int("jobs", 1, "jobs executing concurrently")
+		jobsFlag  = flag.Int("jobs", 1, "jobs executing concurrently; each runs its replications at its spec's par, so up to jobs × par at once")
 		queueFlag = flag.Int("queue", 64, "accepted-but-not-started job backlog before submissions get 503")
 		everyFlag = flag.Int("checkpoint-every", 0, "mid-replication snapshot cadence in rounds (0 = default)")
 	)

@@ -140,6 +140,11 @@ type Improvement struct {
 
 // Oracle finds a (near-)best response for a player, or reports that none
 // exists with gain above the threshold.
+//
+// BestResponse depends on the player only through its class
+// (Game.ClassOf) and its current strategy (Snapshot.Assign): two players
+// of one class on one strategy get the same answer. IsNash relies on
+// this to ask once per (class, strategy) pair.
 type Oracle interface {
 	// BestResponse returns the best improving deviation for the player with
 	// gain strictly greater than minGain, or ok=false if there is none.
@@ -148,10 +153,19 @@ type Oracle interface {
 
 // IsNash reports whether no player has an improving deviation with gain
 // above eps (eps = 0 checks exact Nash equilibria, up to tol for float
-// noise).
+// noise). It scans the players in order and asks the oracle about the
+// first player of each distinct (class, strategy) pair only, which the
+// Oracle contract makes equivalent to asking about every player.
 func IsNash(v game.Snapshot, oracle Oracle, eps float64) bool {
-	n := v.Game().NumPlayers()
-	for p := 0; p < n; p++ {
+	g := v.Game()
+	k := g.NumStrategies()
+	asked := make([]bool, k*g.NumClasses())
+	for p := range g.NumPlayers() {
+		key := g.ClassOf(p)*k + v.Assign(p)
+		if asked[key] {
+			continue
+		}
+		asked[key] = true
 		if _, ok := oracle.BestResponse(v, p, eps); ok {
 			return false
 		}

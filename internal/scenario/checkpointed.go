@@ -10,6 +10,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"congame/internal/checkpoint"
 	"congame/internal/dynamics"
@@ -40,7 +42,7 @@ const DefaultCheckpointEvery = 200
 
 // manifestName is the single progress file inside the state directory.
 // Everything — the spec fingerprint, completed replication results, and
-// the in-flight binary snapshot — lives in this one atomically replaced
+// the in-flight binary snapshots — lives in this one atomically replaced
 // file, so no crash window can leave the pieces inconsistent with each
 // other.
 const manifestName = "checkpoint.json"
@@ -135,7 +137,7 @@ type repRecord struct {
 	Drift  *driftRecord `json:"drift,omitempty"`
 }
 
-// snapRecord is the in-flight mid-replication snapshot: which (cell, rep)
+// snapRecord is one in-flight mid-replication snapshot: which (cell, rep)
 // it belongs to, the stats of the last completed round (so a resume that
 // steps zero further rounds still reports the right Final), and the
 // encoded checkpoint.Snapshot (JSON base64).
@@ -148,12 +150,17 @@ type snapRecord struct {
 
 // manifest is the checkpoint.json schema. Fingerprint pins the effective
 // spec the progress belongs to; a resume under a different spec is
-// rejected rather than silently mixing trajectories.
+// rejected rather than silently mixing trajectories. Snaps holds at most
+// one snapshot per (cell, rep): one for each replication that was running
+// when it was last saved.
 type manifest struct {
-	Fingerprint string      `json:"fingerprint"`
-	Done        []repRecord `json:"done"`
-	Snap        *snapRecord `json:"snapshot,omitempty"`
+	Fingerprint string       `json:"fingerprint"`
+	Done        []repRecord  `json:"done"`
+	Snaps       []snapRecord `json:"snapshots,omitempty"`
 
+	// mu serializes inflight, persist, record and save: a cell's
+	// replications run in parallel and share the one manifest file.
+	mu    sync.Mutex
 	path  string // the manifest file inside the state directory
 	every int    // mid-replication snapshot cadence in rounds
 }
@@ -214,15 +221,14 @@ func openManifest(cfg CheckpointConfig, s *Spec) (*manifest, error) {
 			}
 		}
 		m.Done = kept
-		if m.Snap != nil && m.Snap.Rep == s.Trace.Rep {
-			m.Snap = nil
-		}
+		m.Snaps = slices.DeleteFunc(m.Snaps, func(r snapRecord) bool { return r.Rep == s.Trace.Rep })
 	}
 	return m, nil
 }
 
 // find returns the completed record for (cell, rep), if any; a nil
-// manifest (checkpointing off) holds none.
+// manifest (checkpointing off) holds none. It runs before a cell's
+// replications start, so it takes no lock.
 func (m *manifest) find(cell, rep int) *repRecord {
 	if m == nil {
 		return nil
@@ -243,37 +249,58 @@ func (m *manifest) record(cell, rep int, res dynamics.RunResult, drifts []fluid.
 		dr := toDriftRecord(drifts[rep])
 		rec.Drift = &dr
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.Done = append(m.Done, rec)
-	if m.Snap != nil && m.Snap.Cell == cell && m.Snap.Rep == rep {
-		m.Snap = nil
+	if i := m.snapIndex(cell, rep); i >= 0 {
+		m.Snaps = slices.Delete(m.Snaps, i, i+1)
 	}
 	return m.save()
 }
 
-// inflight returns the decoded snapshot of (cell, rep), or nil when the
-// manifest holds none. A snapshot that fails to decode (CRC mismatch,
-// truncation, unknown format version) is dropped, so its replication
-// re-runs from round 0 instead of failing every later resume.
-func (m *manifest) inflight(cell, rep int) *checkpoint.Snapshot {
-	if m.Snap == nil || m.Snap.Cell != cell || m.Snap.Rep != rep {
-		return nil
-	}
-	snap, err := checkpoint.Decode(m.Snap.Data)
-	if err != nil {
-		m.Snap = nil
-		return nil
-	}
-	return snap
+// snapIndex returns the index of (cell, rep)'s snapshot in Snaps, or -1.
+func (m *manifest) snapIndex(cell, rep int) int {
+	return slices.IndexFunc(m.Snaps, func(r snapRecord) bool { return r.Cell == cell && r.Rep == rep })
 }
 
-// persist stores a mid-replication snapshot and saves.
+// inflight returns the decoded snapshot of (cell, rep) and the stats of
+// its last completed round, or a nil snapshot when the manifest holds
+// none. A snapshot that fails to decode (CRC mismatch, truncation,
+// unknown format version) is dropped, so its replication re-runs from
+// round 0 instead of failing every later resume; the other replications'
+// snapshots are untouched.
+func (m *manifest) inflight(cell, rep int) (*checkpoint.Snapshot, dynamics.RoundStats) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := m.snapIndex(cell, rep)
+	if i < 0 {
+		return nil, dynamics.RoundStats{}
+	}
+	snap, err := checkpoint.Decode(m.Snaps[i].Data)
+	if err != nil {
+		m.Snaps = slices.Delete(m.Snaps, i, i+1)
+		return nil, dynamics.RoundStats{}
+	}
+	return snap, m.Snaps[i].Last.stats()
+}
+
+// persist stores (cell, rep)'s mid-replication snapshot in place of its
+// previous one and saves.
 func (m *manifest) persist(snap *checkpoint.Snapshot, cell, rep int, last dynamics.RoundStats) error {
-	m.Snap = &snapRecord{Cell: cell, Rep: rep, Last: toStatsRecord(last), Data: snap.Encode()}
+	r := snapRecord{Cell: cell, Rep: rep, Last: toStatsRecord(last), Data: snap.Encode()}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i := m.snapIndex(cell, rep); i >= 0 {
+		m.Snaps[i] = r
+	} else {
+		m.Snaps = append(m.Snaps, r)
+	}
 	return m.save()
 }
 
 // save atomically replaces the manifest file (temp + fsync + rename, the
-// same protocol as checkpoint.WriteFile).
+// same protocol as checkpoint.WriteFile). Callers hold m.mu, or own m
+// alone.
 func (m *manifest) save() error {
 	data, err := json.Marshal(m)
 	if err != nil {
@@ -302,20 +329,20 @@ func loadManifest(path string) (*manifest, error) {
 
 // runStepped executes one replication to completion through a manual step
 // loop that writes a snapshot every m.every rounds and on cancellation,
-// resuming from the manifest's snapshot when it belongs to this (cell,
-// rep). It polls ctx once per round.
+// resuming from the manifest's snapshot of this (cell, rep) when it holds
+// one. It polls ctx once per round.
 func (c *cellRun) runStepped(ctx context.Context, rep int, d dynamics.Dynamics, cp dynamics.Checkpointable, stop dynamics.StopCondition) (dynamics.RunResult, error) {
 	s, m, cell := c.s, c.m, c.cell.Index
 	rounds, streak := 0, 0
 	var last dynamics.RoundStats
 
-	if snap := m.inflight(cell, rep); snap != nil {
+	if snap, snapLast := m.inflight(cell, rep); snap != nil {
 		if err := cp.Restore(snap); err != nil {
 			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d: %w", cell, rep, err)
 		}
 		rounds = int(snap.Round)
 		streak = int(snap.QuietStreak)
-		last = m.Snap.Last.stats()
+		last = snapLast
 		// Re-prime the only stateful stop condition: feed the fresh
 		// "quiet" counter the trailing zero-migration streak the
 		// interrupted run had seen. The streak is strictly below the stop

@@ -47,9 +47,10 @@ func ckptSpec() *Spec {
 }
 
 // limitedCtx reports cancellation after a fixed number of Err polls — a
-// deterministic kill for a checkpointed Run, which only ever consults
-// ctx.Err() (never Done), so the poll count fully determines where the
-// run is interrupted.
+// deterministic kill for a checkpointed Run at par 1, which only ever
+// consults ctx.Err() (never Done), so the poll count fully determines
+// where the run is interrupted. It never closes Done, so it cannot stop
+// runner.Map's parallel dispatch; the parallel tests use cancelAfter.
 type limitedCtx struct {
 	context.Context
 	calls atomic.Int64
@@ -66,14 +67,15 @@ func (c *limitedCtx) Err() error {
 // suspendAndResume drives a checkpointed Run to completion through repeated
 // deterministic kills: each attempt gets `polls` ctx.Err() calls before
 // the context cancels, so the run is interrupted — and resumed — at
-// every few rounds of every replication. Returns the completed result
+// every few rounds of every replication. It pins par 1, where the poll
+// count alone fixes the interruption points. Returns the completed result
 // and the number of suspended attempts it took.
 func suspendAndResume(t *testing.T, spec *Spec, dir string, every, polls int) (*Result, int) {
 	t.Helper()
 	cfg := CheckpointConfig{Dir: dir, Every: every}
 	for attempt := 0; attempt < 2000; attempt++ {
 		ctx := &limitedCtx{Context: context.Background(), limit: int64(polls)}
-		res, err := Run(ctx, spec, Options{Checkpoint: &cfg})
+		res, err := Run(ctx, spec, Options{Par: 1, Checkpoint: &cfg})
 		if err == nil {
 			return res, attempt
 		}
@@ -165,8 +167,8 @@ func TestCheckpointedFreshMatchesRun(t *testing.T) {
 	if len(m.Done) != 2*3 {
 		t.Errorf("manifest records %d completed replications, want 6", len(m.Done))
 	}
-	if m.Snap != nil {
-		t.Error("completed run left a dangling mid-replication snapshot")
+	if len(m.Snaps) != 0 {
+		t.Errorf("completed run left %d dangling mid-replication snapshots", len(m.Snaps))
 	}
 }
 
@@ -186,27 +188,30 @@ func TestCheckpointedKillAndResumeExact(t *testing.T) {
 	assertSameResult(t, got, want)
 }
 
+// fluidCkptSpec is the fluid family's eventful spec with a quiet stop:
+// mass vectors, latency scaling and churn all ride through a snapshot.
+func fluidCkptSpec() *Spec {
+	s := fluidSpec()
+	s.Version = 2
+	s.Rounds = 30
+	s.Stop = &StopSpec{Kind: "quiet", Params: Params{"rounds": 5}}
+	s.Events = []events.Event{
+		{Round: 3, Kind: events.LatencyScale, Resource: 0, Factor: 1.4},
+		{Round: 6, Kind: events.Arrive, Count: 32, Strategy: 1},
+		{Round: 9, Kind: events.Depart, Count: 16, Strategy: 2},
+	}
+	return s
+}
+
 // TestCheckpointedKillAndResumeFluid does the same for the fluid family:
 // mass vectors, wrapper chains (latency-scale), and churn restore
 // bit-identically across kills.
 func TestCheckpointedKillAndResumeFluid(t *testing.T) {
-	spec := func() *Spec {
-		s := fluidSpec()
-		s.Version = 2
-		s.Rounds = 30
-		s.Stop = &StopSpec{Kind: "quiet", Params: Params{"rounds": 5}}
-		s.Events = []events.Event{
-			{Round: 3, Kind: events.LatencyScale, Resource: 0, Factor: 1.4},
-			{Round: 6, Kind: events.Arrive, Count: 32, Strategy: 1},
-			{Round: 9, Kind: events.Depart, Count: 16, Strategy: 2},
-		}
-		return s
-	}
-	want, err := Run(context.Background(), spec(), Options{})
+	want, err := Run(context.Background(), fluidCkptSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, attempts := suspendAndResume(t, spec(), t.TempDir(), 4, 3)
+	got, attempts := suspendAndResume(t, fluidCkptSpec(), t.TempDir(), 4, 3)
 	if attempts == 0 {
 		t.Fatal("run completed without a single suspension")
 	}
@@ -229,7 +234,7 @@ func TestCheckpointedSequentialRepGranularity(t *testing.T) {
 
 	dir := t.TempDir()
 	ctx := &limitedCtx{Context: context.Background(), limit: 1}
-	if _, err := Run(ctx, spec(), Options{Checkpoint: &CheckpointConfig{Dir: dir}}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, spec(), Options{Par: 1, Checkpoint: &CheckpointConfig{Dir: dir}}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("one-poll attempt did not suspend: %v", err)
 	}
 	m, err := loadManifest(filepath.Join(dir, manifestName))
@@ -239,7 +244,7 @@ func TestCheckpointedSequentialRepGranularity(t *testing.T) {
 	if len(m.Done) != 1 {
 		t.Errorf("first attempt completed %d replications, want exactly 1 (rep granularity)", len(m.Done))
 	}
-	if m.Snap != nil {
+	if len(m.Snaps) != 0 {
 		t.Error("sequential family persisted a mid-replication snapshot")
 	}
 
@@ -304,7 +309,7 @@ func TestCheckpointedTracedRepResumes(t *testing.T) {
 func TestCheckpointedRejectsSpecMismatch(t *testing.T) {
 	dir := t.TempDir()
 	ctx := &limitedCtx{Context: context.Background(), limit: 3}
-	if _, err := Run(ctx, ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, ckptSpec(), Options{Par: 1, Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("seed run did not suspend: %v", err)
 	}
 	other := ckptSpec()
@@ -353,7 +358,7 @@ func TestCheckpointedCorruptSnapshotRestarts(t *testing.T) {
 	dir := t.TempDir()
 	cfg := CheckpointConfig{Dir: dir, Every: 5}
 	ctx := &limitedCtx{Context: context.Background(), limit: 10}
-	if _, err := Run(ctx, ckptSpec(), Options{Checkpoint: &cfg}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, ckptSpec(), Options{Par: 1, Checkpoint: &cfg}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("seed run did not suspend: %v", err)
 	}
 	path := filepath.Join(dir, manifestName)
@@ -361,10 +366,10 @@ func TestCheckpointedCorruptSnapshotRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m == nil || m.Snap == nil {
-		t.Fatal("suspended run left no mid-replication snapshot")
+	if m == nil || len(m.Snaps) != 1 {
+		t.Fatal("suspended par-1 run did not leave exactly one mid-replication snapshot")
 	}
-	m.Snap.Data[len(m.Snap.Data)/2] ^= 0xff
+	m.Snaps[0].Data[len(m.Snaps[0].Data)/2] ^= 0xff
 	m.path = path
 	if err := m.save(); err != nil {
 		t.Fatal(err)

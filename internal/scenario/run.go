@@ -99,9 +99,8 @@ func prngNew(seed uint64) *rand.Rand { return prng.New(seed) }
 // replication re-runs from round 0. Sequential-family replications, the
 // traced replication, and drift-tracked replications also re-run from
 // round 0 on resume (their observer state is not snapshotted);
-// determinism makes every re-run bit-identical, it just repeats work.
-// Replications run one at a time (the spec's par is ignored, so the
-// manifest holds at most one in-flight snapshot), and on cancellation the
+// determinism makes every re-run bit-identical, it just repeats work. On
+// cancellation every running replication persists its snapshot, and the
 // error wraps both ErrSuspended and ctx.Err().
 func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	if spec == nil {
@@ -119,7 +118,6 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	}
 	var m *manifest
 	if opts.Checkpoint != nil {
-		s.Par = 1
 		var err error
 		if m, err = openManifest(*opts.Checkpoint, s); err != nil {
 			return nil, err
@@ -266,8 +264,10 @@ func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest
 		}
 	}
 	// Each job writes only its own results and drifts slots, and Map
-	// returns after every job has finished.
-	_, err := runner.Map(ctx, len(todo), s.Par, func(ctx context.Context, i int) (struct{}, error) {
+	// returns after every job has finished. A replication polls the run's
+	// ctx, not the one Map hands it: Map cancels that one when a sibling
+	// fails, and the failure must not turn into a suspension.
+	_, err := runner.Map(ctx, len(todo), s.Par, func(_ context.Context, i int) (struct{}, error) {
 		return struct{}{}, c.runRep(ctx, todo[i], results, drifts)
 	})
 	if m != nil && !errors.Is(err, ErrSuspended) && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {

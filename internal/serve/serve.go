@@ -60,9 +60,9 @@ type Config struct {
 	// StateDir is the root state directory. Required; created if missing.
 	StateDir string
 	// MaxConcurrent is the number of jobs executing at once; ≤ 0 means 1.
-	// A checkpointed scenario.Run executes a job's replications one at a
-	// time (its manifest holds one in-flight snapshot), so this is the
-	// daemon's only parallelism knob.
+	// Each job runs its replications at its spec's par (GOMAXPROCS when
+	// unset), as cmd/sweep does, so the daemon runs up to MaxConcurrent ×
+	// par replications at once.
 	MaxConcurrent int
 	// CheckpointEvery is the mid-replication snapshot cadence in rounds;
 	// ≤ 0 selects scenario.DefaultCheckpointEvery.
@@ -214,9 +214,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Close stops accepting work from the queue and cancels every running
-// job's context; the checkpointing runner persists each job's snapshot
-// and the job is recorded as suspended, so a New on the same state
-// directory resumes it. Blocks until the workers have drained.
+// job's context; the checkpointing runner persists a snapshot of each
+// running replication and the job is recorded as suspended, so a New on
+// the same state directory resumes it. Blocks until the workers have
+// drained.
 func (s *Server) Close() error {
 	s.cancel()
 	s.wg.Wait()

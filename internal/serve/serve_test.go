@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -321,18 +322,61 @@ func TestSSEStreamMatchesJournal(t *testing.T) {
 	}
 }
 
+// pollCancelCtx cancels its context for real on the (limit+1)-th Err
+// poll. Unlike pollLimitCtx it closes Done, so the kill also reaches the
+// context runner.Map derives for a job's parallel replications. Each poll
+// yields the processor, so the replications overlap before the budget
+// runs out even at GOMAXPROCS 1.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	limit  int64
+}
+
+func (c *pollCancelCtx) Err() error {
+	runtime.Gosched()
+	if c.calls.Add(1) > c.limit {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestKillAndResumeOverHTTP is the end-to-end resume wall: a daemon is
-// killed mid-run (deterministically, via a poll-limited job context), a
-// fresh daemon on the same state directory requeues and finishes the
-// job, and the final table is byte-identical to an uninterrupted run.
+// killed mid-run, a fresh daemon on the same state directory requeues and
+// finishes the job, and the final table is byte-identical to an
+// uninterrupted run. The par-1 leg kills deterministically with a
+// poll-limited job context; the par-2 leg runs both replications at once
+// and cancels the job context for real after a poll budget they share.
 func TestKillAndResumeOverHTTP(t *testing.T) {
-	want := wantResult(t, specJSON)
+	for _, leg := range []struct {
+		par  int
+		wrap func(context.Context) context.Context
+	}{
+		{1, func(ctx context.Context) context.Context {
+			return &pollLimitCtx{Context: ctx, limit: 25}
+		}},
+		{2, func(ctx context.Context) context.Context {
+			ctx, cancel := context.WithCancel(ctx)
+			return &pollCancelCtx{Context: ctx, cancel: cancel, limit: 25}
+		}},
+	} {
+		t.Run(fmt.Sprintf("par%d", leg.par), func(t *testing.T) {
+			spec := strings.Replace(specJSON, `"reps": 2,`, fmt.Sprintf(`"reps": 2, "par": %d,`, leg.par), 1)
+			killAndResume(t, spec, leg.wrap)
+		})
+	}
+}
+
+// killAndResume submits spec to a daemon whose job contexts wrap kills,
+// checks that the suspended job left an in-flight snapshot, and resumes
+// the job on a fresh daemon over the same state directory.
+func killAndResume(t *testing.T, spec string, wrap func(context.Context) context.Context) {
+	want := wantResult(t, spec)
 	dir := t.TempDir()
 
-	s1, ts1 := newServer(t, dir, func(ctx context.Context) context.Context {
-		return &pollLimitCtx{Context: ctx, limit: 25}
-	})
-	id := submit(t, ts1, specJSON)
+	s1, ts1 := newServer(t, dir, wrap)
+	id := submit(t, ts1, spec)
 	rec := waitStatus(t, ts1, id, StatusSuspended)
 	if rec.Error != "" {
 		t.Fatalf("suspended with error %q", rec.Error)
@@ -342,6 +386,20 @@ func TestKillAndResumeOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1.Close()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", id, "state", "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Snapshots []json.RawMessage `json:"snapshots"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("suspended with %d in-flight snapshots", len(m.Snapshots))
+	if len(m.Snapshots) == 0 {
+		t.Error("the suspended job left no in-flight snapshot")
+	}
 
 	_, ts2 := newServer(t, dir, nil)
 	rec = waitStatus(t, ts2, id, StatusDone)

@@ -3,7 +3,8 @@
 # (the CI serve-smoke job; run locally via `make serve-smoke`).
 #
 #   start daemon -> submit examples/scenarios/e2-monomial-singletons.json
-#   -> kill the daemon mid-run (SIGTERM; jobs suspend and checkpoint)
+#   -> kill the daemon mid-run (SIGTERM; every running replication
+#      suspends and checkpoints) -> count the in-flight snapshots
 #   -> restart on the same state dir -> follow SSE to completion
 #   -> assert the final table is byte-identical to cmd/sweep's output
 #   -> validate the live /metrics scrape with cmd/metricscheck.
@@ -82,7 +83,14 @@ if [ "$SUSPENDED" != "suspended" ]; then
     echo "      (the kill must land mid-run; lower SERVE_SMOKE_EVERY to slow the run)"
     exit 1
 fi
-echo "== job suspended with a checkpoint on disk"
+# Each replication running at the kill leaves one snapshot in the
+# manifest; a suspension that left none would resume nothing mid-run.
+SNAPS=$(tr -d ' \n' <"$STATE/jobs/$JOB/state/checkpoint.json" | grep -o '"snapshots":\[.*' | grep -o '"cell":' | wc -l)
+echo "== job suspended with $SNAPS in-flight snapshot(s) on disk"
+if [ "$SNAPS" -eq 0 ]; then
+    echo "FAIL: the suspended job's manifest holds no in-flight snapshot"
+    exit 1
+fi
 
 echo "== restart on the same state dir"
 start_daemon
