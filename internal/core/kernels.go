@@ -18,17 +18,19 @@ import (
 // time: the worker's prng.Block fills the tile's first-2 stream outputs in
 // one tight batched pass, and each player's decision consumes those draws
 // through a stack cursor in the exact order the scalar path consumes its
-// rand.Rand draws. The symmetric-singleton loop also skips, before
-// reading any peer, every player whose migration draw already rules out
-// a move (moveCeilings, imitateSingletonTile); a skipped player would
-// have stayed, so skipping it is invisible. Decisions, draw counts, and
-// float evaluation order are identical, so trajectories are
+// rand.Rand draws. The symmetric-singleton loop instead draws each
+// player's migration word first and skips, before deriving its peer
+// word or reading any peer, every player whose migration draw already
+// rules out a move (moveCeilings, prng.Block.FillCandidates); a skipped
+// player would have stayed, so skipping it is invisible. Decisions, draw
+// counts, and float evaluation order are identical, so trajectories are
 // bit-identical to the generic path (pinned by TestKernelMatchesGeneric
 // and every parity/golden wall), and tile edges never show: every
-// player's decision reads only its own draws and the round-start view. Exploration, Combined, and
-// user-supplied protocols keep the generic path: their draw counts are
-// strategy-space dependent, which batching cannot anticipate — the
-// reference loop stays the semantic ground truth either way.
+// player's decision reads only its own draws and the round-start view.
+// Exploration, Combined, and user-supplied protocols keep the generic
+// path: their draw counts are strategy-space dependent, which batching
+// cannot anticipate — the reference loop stays the semantic ground truth
+// either way.
 
 // kernelDraws is the per-player draw budget the kernels buffer: one
 // sampling draw (peer or virtual agent) plus one migration-probability
@@ -61,7 +63,8 @@ func decideUndampedRange(u *UndampedImitation, view *game.RoundView, lo, hi int,
 // — for disjoint singleton strategies ℓ_to(x+1_to−1_from) is exactly
 // ℓ⁺_to(x), the same table cell RoundView.SwitchLatency's singleton path
 // reads. That variant first computes the shard's move ceilings, once per
-// round, and returns before any fill when nobody can move.
+// round, and returns before any fill when nobody can move; otherwise
+// each tile runs one fused Block.FillCandidates pass instead of Fill.
 func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta, sh *shard, seed, round uint64, nu, scale float64) {
 	n := g.NumPlayers()
 	singleton := g.IsSingleton() && g.NumClasses() == 1 && n < 1<<31
@@ -74,11 +77,12 @@ func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta,
 	blk := sh.blk
 	for t := lo; t < hi; t += prng.Tile {
 		end := min(t+prng.Tile, hi)
-		blk.Fill(seed, round, t, end)
 		if singleton {
-			imitateSingletonTile(n, view, t, d, blk, sh.ceil, nu, scale)
+			idx, peers := blk.FillCandidates(seed, round, t, end, view.State().AssignmentView(), n, sh.ceil)
+			imitateSingletonTile(n, view, t, d, blk, idx, peers, nu, scale)
 			continue
 		}
+		blk.Fill(seed, round, t, end)
 		for p := t; p < end; p++ {
 			cur := blk.Cursor(p)
 			sampled := g.SamplePeerCursor(p, &cur)
@@ -114,7 +118,9 @@ func imitateRange(g *game.Game, view *game.RoundView, lo, hi int, d *game.Delta,
 // every peer. A player whose second draw f satisfies f ≥ ceil[s] stays,
 // whatever its peer. When ℓ_s − minJoin ≤ ν or ℓ_s ≤ 0, every gain fails
 // the kernel's gain > ν, ℓ_s > 0 test, and ceil[s] = −1 (below every f).
-// NaN ceilings (an infinite latency) exclude nobody.
+// Where the expression evaluates to NaN (an infinite latency), ceil[s] is
+// +Inf, which excludes nobody: Block.FillCandidates tests the sign of
+// f − ceil[s], which a NaN would leave undefined.
 func moveCeilings(view *game.RoundView, nu, scale float64, ceil []float64) ([]float64, bool) {
 	k := view.Game().NumStrategies()
 	if cap(ceil) < k {
@@ -135,21 +141,27 @@ func moveCeilings(view *game.RoundView, nu, scale float64, ceil []float64) ([]fl
 			ceil[s] = -1
 			continue
 		}
-		ceil[s] = scale * best / lp
+		if c := scale * best / lp; c == c {
+			ceil[s] = c
+		} else {
+			ceil[s] = math.Inf(1) // NaN (an infinite latency) keeps everyone
+		}
 		movable = movable || view.Count(s) > 0
 	}
 	return ceil, movable
 }
 
-// imitateSingletonTile is the flattened symmetric-singleton loop over one
-// filled tile. Block.Candidates first drops every player whose second
-// draw f is at least its strategy's ceiling (moveCeilings): such a player
-// stays whatever its peer, so its peer is never read. That pass streams
-// assign[p] and the buffered draws; only the kept players (7% on
-// rush-4m) then load their sampled peer's strategy assign[q] into the
-// block's peer buffer, branch-free, so those random reads — the round's
-// dominant cost at large n before the filter — overlap instead of each
-// stalling the decision that consumes it. The decide pass runs the
+// imitateSingletonTile is the flattened symmetric-singleton decision
+// over one tile starting at player lo, run on the kept offsets idx and
+// peers that Block.FillCandidates returned for it. That pass skips every
+// player whose second draw f is at least its strategy's ceiling
+// (moveCeilings): such a player stays whatever its peer, so neither its
+// peer word nor its peer is derived, and it is never stored. Only the
+// kept players (7% on rush-4m) get their two words and continuation
+// state written to the block, and their sampled peer's strategy
+// assign[q] loaded into peers, branch-free, so those random reads — the
+// round's dominant cost at large n before the filter — overlap instead
+// of each stalling the decision that consumes it. This loop runs the
 // decision body on the kept players against the buffer, reading the
 // second word as Float64 = float64(int64(u64 >> 1)) / 2^63. The two rare
 // cases that need draws beyond the formulas (Int31n rejection, which the
@@ -158,9 +170,8 @@ func moveCeilings(view *game.RoundView, nu, scale float64, ceil []float64) ([]fl
 // consumption and values stay exactly the scalar path's. Skipping a
 // player changes nobody else's draws: each player's draws are its own
 // counter-based stream (DESIGN.md §4).
-func imitateSingletonTile(n int, view *game.RoundView, lo int, d *game.Delta, blk *prng.Block, ceil []float64, nu, scale float64) {
+func imitateSingletonTile(n int, view *game.RoundView, lo int, d *game.Delta, blk *prng.Block, idx, peers []int32, nu, scale float64) {
 	assign := view.State().AssignmentView()
-	idx, peers := blk.Candidates(assign, n, ceil)
 	raw := blk.Raw()
 	for j, to32 := range peers {
 		i := int(idx[j])

@@ -116,6 +116,59 @@ func TestMoveCeilingsCutoffs(t *testing.T) {
 	}
 }
 
+// TestMoveCeilingsInfiniteLatency pins the NaN guard. Link 0's latency
+// e^{100x} overflows to +Inf at load 10, so its ceiling's expression
+// scale·(ℓ − minJoin)/ℓ reads Inf/Inf = NaN; moveCeilings must store
+// +Inf there, which keeps everyone in Block.FillCandidates, and no
+// ceiling may be NaN. The kernel then decides the game as the generic
+// loop does, at every worker count.
+func TestMoveCeilingsInfiniteLatency(t *testing.T) {
+	exp, err := latency.NewExponential(1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := latency.NewLinear(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := []game.Resource{{Name: "hot", Latency: exp}, {Name: "a", Latency: lin}, {Name: "b", Latency: lin}}
+	g, err := game.New(game.Config{Name: "overflow", Resources: res, Players: 64, Strategies: [][]int{{0}, {1}, {2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int32, 64)
+	for p := 10; p < 64; p++ {
+		assign[p] = int32(1 + p%2)
+	}
+	st, err := game.NewStateFromAssignment(g, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := game.NewRoundView(st)
+	if l := view.StrategyLatency(0); !math.IsInf(l, 1) {
+		t.Fatalf("link 0 latency %v at load 10, want +Inf", l)
+	}
+	im, err := NewImitation(g, ImitationConfig{Nu: 1}) // the default ν is ℓ's +Inf too
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceil, movable := moveCeilings(view, im.nu, im.lambda/im.d, nil)
+	if !movable {
+		t.Fatal("moveCeilings reports nobody can move off the infinite link")
+	}
+	if !math.IsInf(ceil[0], 1) {
+		t.Fatalf("ceiling of the infinite link %v, want +Inf", ceil[0])
+	}
+	for s, c := range ceil {
+		if math.IsNaN(c) {
+			t.Fatalf("strategy %d: NaN ceiling", s)
+		}
+	}
+	for _, w := range workerCounts() {
+		runKernelParity(t, st, im, w, 3)
+	}
+}
+
 // TestMoveCeilingsBoundEverySupportPair is the bound's property test. A
 // HeavyTraffic instance runs under a recurring ×4/×¼ rush hour on a hot
 // link. Every round, on the state its decide phase sees (after the

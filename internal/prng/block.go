@@ -1,5 +1,7 @@
 package prng
 
+import "math"
+
 // Batched stream generation for the engine's decide phase.
 //
 // The scalar hot path re-seeds one Reusable per player
@@ -11,17 +13,21 @@ package prng
 // Mix absorbed once per fill instead of once per player — and a Cursor
 // then hands those draws to the decision kernels through monomorphic
 // methods that replicate math/rand's Intn/Int63n/Float64 value streams
-// bit for bit.
+// bit for bit. FillCandidates fuses the fill with the symmetric-singleton
+// kernel's filter on the migration draw: it draws every player's second
+// word first, and derives the peer word and stores words only for the
+// players that word can still move.
 //
 // Determinism contract: for every coordinate triple, the draw sequence a
 // Cursor yields is identical to the sequence Stream(seed, round, p) (or
 // Reusable.Reset3) yields through the corresponding *rand.Rand methods —
-// including rejection resampling — for any number of draws. Draws past the
-// K buffered outputs fall back transparently to advancing the SplitMix64
-// counter from the stored per-player state, so a decision that needs more
-// randomness than the block buffered (Intn rejection, innovative
-// protocols) is never cut off and never diverges. The differential and
-// fuzz tests in block_test.go pin this equivalence.
+// including rejection resampling — for any number of draws, after Fill
+// for every player of the range and after FillCandidates for every kept
+// one. Draws past the K buffered outputs fall back transparently to
+// advancing the SplitMix64 counter from the stored per-player state, so a
+// decision that needs more randomness than the block buffered (Intn
+// rejection, innovative protocols) is never cut off and never diverges.
+// The differential and fuzz tests in block_test.go pin this equivalence.
 
 const (
 	// gamma is SplitMix64's additive constant (the golden-ratio "weyl"
@@ -51,16 +57,16 @@ const Tile = 2048
 
 // Block holds the first K raw 64-bit outputs of the (seed, round, p)
 // decision streams for a contiguous player range [lo, hi), plus the peer
-// and candidate buffers Gather and Candidates fill. One Block per worker
-// is reused across rounds; after the first fill at a range's high-water
-// mark, Fill, Gather and Candidates allocate nothing.
+// and candidate buffers Gather and FillCandidates fill. One Block per
+// worker is reused across rounds; after the first fill at a range's
+// high-water mark, Fill, Gather and FillCandidates allocate nothing.
 type Block struct {
 	k      int
 	lo     int
 	buf    []uint64 // (hi-lo)*k raw outputs, player-major
 	states []uint64 // per player: SplitMix64 state after the k buffered draws
-	peers  []int32  // Gather's and Candidates' output: peer strategies
-	cand   []int32  // Candidates' output: offsets of the kept players
+	peers  []int32  // Gather's and FillCandidates' output: peer strategies
+	cand   []int32  // FillCandidates' output: offsets of the kept players
 }
 
 // NewBlock returns a Block buffering the first k draws of each stream.
@@ -76,35 +82,35 @@ func NewBlock(k int) *Block {
 // K returns the number of buffered draws per player.
 func (b *Block) K() int { return b.k }
 
-// Fill populates the block with the first K outputs of every
-// (seed, round, p) stream for p in [lo, hi). The per-player seeding is
-// exactly Mix(seed, round, p): the (seed, round) prefix state is hoisted
-// out of the loop (Mix absorbs words left to right, so the prefix is
-// shared by all players), leaving one absorb plus K counter advances per
-// player, all inline — no rand.Rand, no interface calls.
-func (b *Block) Fill(seed, round uint64, lo, hi int) {
-	n := hi - lo
-	if n < 0 {
-		n = 0
-	}
-	need := n * b.k
-	if cap(b.buf) < need {
-		b.buf = make([]uint64, need)
-	}
-	b.buf = b.buf[:need]
-	if cap(b.states) < n {
-		b.states = make([]uint64, n)
-	}
-	b.states = b.states[:n]
-	b.lo = lo
-
-	// Mix prefix over (seed, round), shared by every player in the range.
+// prefix is Mix's state after absorbing (seed, round), shared by every
+// player of a fill: Mix absorbs words left to right, so a fill hoists it
+// out of the per-player loop.
+func prefix(seed, round uint64) uint64 {
 	pre := uint64(mixInit)
 	pre ^= seed
 	pre = mixFinalize(pre + gamma)
 	pre ^= round
-	pre = mixFinalize(pre + gamma)
+	return mixFinalize(pre + gamma)
+}
 
+// reset points the block at the range [lo, hi), sizing the draw and
+// state buffers for it, and returns the range's player count.
+func (b *Block) reset(lo, hi int) int {
+	n := max(hi-lo, 0)
+	b.buf = grow(&b.buf, n*b.k)
+	b.states = grow(&b.states, n)
+	b.lo = lo
+	return n
+}
+
+// Fill populates the block with the first K outputs of every
+// (seed, round, p) stream for p in [lo, hi). The per-player seeding is
+// exactly Mix(seed, round, p): the (seed, round) prefix state is hoisted
+// out of the loop, leaving one absorb plus K counter advances per player,
+// all inline — no rand.Rand, no interface calls.
+func (b *Block) Fill(seed, round uint64, lo, hi int) {
+	n := b.reset(lo, hi)
+	pre := prefix(seed, round)
 	k := b.k
 	buf := b.buf
 	states := b.states
@@ -150,8 +156,8 @@ func (b *Block) Lo() int { return b.lo }
 // v = int32(w >> 33); Int31n accepts v when v ≤ max and returns v masked
 // to n−1 for a power-of-two n, v mod n otherwise. Above max it rejects v
 // and draws again, which a buffered word cannot serve. A power of two has
-// max = 2^31−1, so it never rejects. Gather and Candidates both derive
-// their peer indices here.
+// max = 2^31−1, so it never rejects. Gather and FillCandidates both
+// derive their peer indices here.
 type int31nRule struct{ n, max int32 }
 
 // newInt31nRule returns the rule for Intn(n); n must lie in [1, 2^31).
@@ -163,16 +169,26 @@ func newInt31nRule(n int) int31nRule {
 	return int31nRule{n: n32, max: int32((1 << 31) - 1 - (1<<31)%uint32(n32))}
 }
 
+// masks reports whether n is a power of two, whose Int31n masks and never
+// rejects.
+func (r int31nRule) masks() bool { return r.n&(r.n-1) == 0 }
+
 // accepts reports whether Int31n keeps the Int31 of w rather than
 // resampling.
 func (r int31nRule) accepts(w uint64) bool { return int32(w>>33) <= r.max }
+
+// rejects is 1 when Int31n resamples the Int31 of w and 0 when it keeps
+// it: the sign of max − Int31, computed without a branch.
+func (r int31nRule) rejects(w uint64) uint64 {
+	return uint64(int64(r.max)-int64(w>>33)) >> 63
+}
 
 // peer returns assign[Intn(n)] for the draw w, or -1 when Int31n rejects
 // w. The index v mod n is valid even for a rejected draw, so the load
 // carries no data-dependent branch.
 func (r int31nRule) peer(assign []int32, w uint64) int32 {
 	v := int32(w >> 33)
-	if r.n&(r.n-1) == 0 {
+	if r.masks() {
 		v &= r.n - 1
 	} else {
 		v %= r.n
@@ -205,55 +221,127 @@ func (b *Block) Gather(assign []int32, n int) []int32 {
 	return peers
 }
 
-// Candidates is Gather restricted to the players whose second draw can
-// still move them. Player Lo()+i sits on strategy s = assign[Lo()+i], and
-// its second buffered word reads as f = Float64 = float64(int64(w >> 1))
-// / 2^63. The pass skips the player when f ≥ ceil[s], unless Int31n
-// rejects its first draw or f == 1: in both cases the decision's Float64
-// comes from a later draw of the stream, so the player is kept. A NaN
-// ceiling therefore keeps everyone. The pass reads assign and the draws
-// sequentially; only kept players then load assign[q] at their peer
-// index. It returns the kept offsets idx, ascending, and peers, with
-// peers[j] equal to Gather's entry for player Lo()+idx[j]. The block must
-// buffer K ≥ 2 draws, n and assign are as for Gather, and every assign
-// value in the range must index ceil. Both buffers are reused by the next
-// call.
-func (b *Block) Candidates(assign []int32, n int, ceil []float64) (idx, peers []int32) {
+// FillCandidates is Fill followed by Gather, restricted to the players
+// whose second draw can still move them. Player p in [lo, hi) sits on
+// strategy s = assign[p], and its second draw reads as
+// f = Float64 = float64(int64(w >> 1)) / 2^63. The player is skipped
+// when f ≥ ceil[s], unless Int31n rejects its first draw or f == 1: in
+// both cases the decision's Float64 comes from a later draw of the
+// stream, so the player is kept. It returns the kept offsets idx,
+// ascending (player Lo()+idx[j]), and peers, with peers[j] the entry
+// Gather would hold for that player.
+//
+// The pass runs in three stages. The first reads assign sequentially
+// and draws every player's stream seed and second word (and, when n is
+// not a power of two, its first word), and keeps or skips the player
+// without a data-dependent branch. The second draws the kept players'
+// words and continuation states into the block, as Fill would, and the
+// third loads their peers, branch-free as in Gather. A skipped player
+// costs two SplitMix64 finalizers instead of Fill's three, and writes
+// no words. Raw, Cursor and Gather serve the kept players exactly as
+// after Fill; a skipped player's slots hold stale words, which nothing
+// may read.
+//
+// The block must buffer K ≥ 2 draws, n and assign are as for Gather,
+// and every assign value in the range must index ceil. No ceiling may
+// be NaN: the skip test is the sign of f − ceil[s], and +Inf is the
+// ceiling that keeps everyone. Both returned buffers are reused by the
+// next call.
+func (b *Block) FillCandidates(seed, round uint64, lo, hi int, assign []int32, n int, ceil []float64) (idx, peers []int32) {
 	rule := newInt31nRule(n)
 	if b.k < 2 {
-		panic("prng: Candidates needs two buffered draws")
+		panic("prng: FillCandidates needs two buffered draws")
 	}
-	m := len(b.states)
-	raw := b.buf[:m*b.k]
+	m := b.reset(lo, hi)
+	pre := prefix(seed, round)
 	idx = grow(&b.cand, m)
-	idx = idx[:keep(idx, assign[b.lo:b.lo+m], raw, b.k, ceil, rule)]
-	peers = grow(&b.peers, m)[:len(idx)]
+	var kept int
+	if rule.masks() {
+		kept = keepMasked(idx, assign[lo:lo+m], ceil, pre, lo)
+	} else {
+		kept = keepRejecting(idx, assign[lo:lo+m], ceil, pre, lo, rule)
+	}
+	idx = idx[:kept]
+	k := b.k
+	buf, states := b.buf, b.states
+	for _, i := range idx {
+		// Re-derive the seed: storing every player's seed in the first
+		// stage measured no faster.
+		s := mixFinalize((pre ^ uint64(lo+int(i))) + gamma)
+		base := int(i) * k
+		for d := 0; d < k; d++ {
+			s += gamma
+			buf[base+d] = mixFinalize(s)
+		}
+		states[i] = s
+	}
+	// The peer indices come from words already in buf, so every load's
+	// address is ready when the loop reaches it.
+	peers = grow(&b.peers, m)[:kept]
 	for j, i := range idx {
-		peers[j] = rule.peer(assign, raw[int(i)*b.k])
+		peers[j] = rule.peer(assign, buf[int(i)*k])
 	}
 	return idx, peers
 }
 
-// keep is Candidates' first pass over the players' strategies from and
-// their draws raw (stride k): it writes the offsets of the kept players,
-// ascending, to the front of idx and returns how many it kept.
-func keep(idx, from []int32, raw []uint64, k int, ceil []float64, rule int31nRule) int {
+// keepMasked is FillCandidates' first stage for a power-of-two n, whose
+// Int31n never rejects, over the strategies from of the players lo,
+// lo+1, …: it draws each player's stream seed Mix(seed, round, p) from
+// the (seed, round) prefix pre, and its second word. Every player's
+// offset is written at the next kept slot, which only a kept player
+// advances, so idx starts with the kept offsets, ascending. It returns
+// how many it kept. The loop is a function of its own so that it does
+// not compete for registers with FillCandidates' other locals.
+func keepMasked(idx []int32, from []int32, ceil []float64, pre uint64, lo int) int {
+	idx = idx[:len(from)]
 	kept := 0
 	for i, s := range from {
-		w0, w1 := raw[i*k], raw[i*k+1]
-		f := float64(int64(w1>>1)) / (1 << 63) // rand.Float64
+		st := mixFinalize((pre ^ uint64(lo+i)) + gamma)
+		x := mixFinalize(st+gamma+gamma) >> 1
 		idx[kept] = int32(i)
-		if !(f >= ceil[s]) || f == 1 || !rule.accepts(w0) {
-			kept++
-		}
+		kept += int(movable(x, ceil[s]))
 	}
 	return kept
 }
 
+// keepRejecting is keepMasked for an n that is not a power of two: it
+// also draws each player's first word and keeps the player when Int31n
+// rejects it.
+func keepRejecting(idx []int32, from []int32, ceil []float64, pre uint64, lo int, rule int31nRule) int {
+	idx = idx[:len(from)]
+	kept := 0
+	for i, s := range from {
+		st := mixFinalize((pre ^ uint64(lo+i)) + gamma)
+		w0 := mixFinalize(st + gamma)
+		x := mixFinalize(st+gamma+gamma) >> 1
+		idx[kept] = int32(i)
+		kept += int(movable(x, ceil[s]) | rule.rejects(w0))
+	}
+	return kept
+}
+
+// movable is 1 when a player whose second word is w, with x = w >> 1,
+// must be kept under the ceiling c, and 0 when its draw rules out every
+// move; it takes no data-dependent branch. With f = float64(int64(x)) /
+// 2^63, rand.Float64's value before its resample-on-1.0:
+//
+//   - f < c exactly when f − c has its sign bit set, for any c that is
+//     not NaN. IEEE subtraction returns zero only for f == c (with
+//     gradual underflow), and rounding never flips the sign of a nonzero
+//     difference. A +Inf ceiling keeps everyone.
+//   - f == 1 exactly when x ≥ 2^63 − 512: in [2^62, 2^63) a float64 is a
+//     multiple of 2^10, and the midpoint 2^63 − 512 ties to the even
+//     neighbour 2^63. As x < 2^63, that is when x + 512 has its sign bit
+//     set.
+func movable(x uint64, c float64) uint64 {
+	f := float64(int64(x)) / (1 << 63)
+	return (math.Float64bits(f-c) | (x + 512)) >> 63
+}
+
 // grow returns (*buf)[:m], reallocating *buf when its capacity is short.
-func grow(buf *[]int32, m int) []int32 {
+func grow[T any](buf *[]T, m int) []T {
 	if cap(*buf) < m {
-		*buf = make([]int32, m)
+		*buf = make([]T, m)
 	}
 	return (*buf)[:m]
 }
