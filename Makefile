@@ -14,7 +14,7 @@
 #     fingerprint of the run that produced it.
 GO ?= go
 
-SCENARIOS := e2-monomial-singletons e3-poly-network braess-combined fluid-vs-exact churn-recovery
+SCENARIOS := e2-monomial-singletons e3-poly-network braess-combined fluid-vs-exact churn-recovery quickstart
 
 BENCH_BASELINE ?= BENCH_PR21.json
 # Short per-benchmark run time for the CI gate; `make bench` uses the
@@ -93,12 +93,14 @@ pgo: ## Regenerate the committed PGO profile (default.pgo) by profiling the benc
 experiments: ## Regenerate all experiment tables in quick mode.
 	$(GO) run ./cmd/experiments -quick
 
-examples: ## Build and run every example program (the CI smoke test).
+examples: ## Build and run every example program and imitsim on the quickstart spec (the CI smoke test).
 	@for d in examples/*/; do \
 		case $$d in examples/scenarios/) continue;; esac; \
 		echo "== $$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; \
 	done
+	@echo "== cmd/imitsim -spec examples/scenarios/quickstart.json"
+	@$(GO) run ./cmd/imitsim -spec examples/scenarios/quickstart.json >/dev/null
 
 sweep-quick: ## Run the example scenario specs in quick mode (smoke).
 	@for s in $(SCENARIOS); do \

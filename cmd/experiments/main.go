@@ -1,5 +1,5 @@
-// Command experiments regenerates the paper-reproduction tables (E1–E14,
-// see DESIGN.md §3 and EXPERIMENTS.md).
+// Command experiments regenerates the paper-reproduction tables (E1–E16,
+// listed in EXPERIMENTS.md).
 //
 // Usage:
 //

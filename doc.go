@@ -137,9 +137,10 @@
 //	internal/trace      trajectory recording, CSV/NDJSON, sparklines
 //	internal/obs        metrics, run journal, Prometheus/JSON exporter
 //
-// Binaries: cmd/imitsim (interactive simulator, single-trajectory and
-// replicated-aggregate modes), cmd/experiments (regenerates every
-// experiment table), cmd/sweep (runs declarative scenario specs), and
-// cmd/bench (machine-readable benchmark report). Runnable examples live
-// under examples/.
+// Binaries: cmd/imitsim (runs and explains one trajectory of a one-cell
+// scenario spec), cmd/experiments (regenerates every experiment table),
+// cmd/sweep (runs declarative scenario specs), cmd/serve (the simulation
+// daemon), cmd/bench (machine-readable benchmark report), and
+// cmd/metricscheck (metrics-schema gate). Runnable examples live under
+// examples/.
 package congame

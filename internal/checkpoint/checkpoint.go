@@ -1,4 +1,5 @@
-// Package checkpoint serializes engine state into versioned binary
+// Package checkpoint serializes the state of the two checkpointable
+// backends, the exact engine and the fluid sim, into versioned binary
 // snapshots and restores it so a resumed run is bit-identical to an
 // uninterrupted one — the determinism contract of DESIGN.md §4 extended
 // across process restarts (§13 documents the format and the resume
@@ -14,9 +15,6 @@
 //     engine's round counter, its incrementally maintained potential
 //     (raw bits — a recomputation can differ in the last ulp), and the
 //     lifetime move count;
-//   - weighted engine: the assignment and the per-link float load vector
-//     (raw bits — float loads accumulate move by move, so a fresh
-//     summation can fork the trajectory), plus the round counter;
 //   - fluid sim: the mass vector, round counter, incremental potential,
 //     last-round migration mass, and each link's latency wrappers — its
 //     population target and its one compounded scale factor (see
@@ -43,7 +41,6 @@ import (
 	"congame/internal/events"
 	"congame/internal/fluid"
 	"congame/internal/game"
-	"congame/internal/weighted"
 )
 
 // ErrInvalid reports a snapshot that cannot be decoded or does not match
@@ -53,19 +50,18 @@ var ErrInvalid = errors.New("checkpoint: invalid")
 // Kind identifies the backend a snapshot belongs to.
 type Kind uint8
 
-// The backend kinds.
+// The backend kinds. Kind 2 was the weighted-engine snapshot; decoders
+// reject it as unknown, and a new kind must not reuse it, or an old
+// kind-2 snapshot left in a manifest would decode as the new payload.
 const (
-	Exact    Kind = 1 // core.Engine over game.State
-	Weighted Kind = 2 // weighted.Engine
-	Fluid    Kind = 3 // fluid.Sim
+	Exact Kind = 1 // core.Engine over game.State
+	Fluid Kind = 3 // fluid.Sim
 )
 
 func (k Kind) String() string {
 	switch k {
 	case Exact:
 		return "exact"
-	case Weighted:
-		return "weighted"
 	case Fluid:
 		return "fluid"
 	}
@@ -85,12 +81,9 @@ type Snapshot struct {
 	// Exact fields.
 	Moves      int64     // lifetime TotalMoves
 	Phi        float64   // incrementally maintained potential (raw bits)
-	Assign     []int32   // player -> strategy (exact) or link (weighted)
+	Assign     []int32   // player -> strategy
 	Strategies [][]int32 // full interned strategy table in ID order
 	Retired    []bool    // strategy -> retired flag
-
-	// Weighted fields (Assign shared with exact).
-	FloatLoad []float64 // per-link weight sums (raw bits)
 
 	// Fluid fields.
 	Mass     []float64        // strategy-mass vector (raw bits)
@@ -121,18 +114,6 @@ func CaptureEngine(e *core.Engine, quietStreak int) *Snapshot {
 		s.Retired[i] = g.StrategyRetired(i)
 	}
 	return s
-}
-
-// CaptureWeighted snapshots a weighted engine between rounds.
-func CaptureWeighted(e *weighted.Engine, quietStreak int) *Snapshot {
-	st := e.State()
-	return &Snapshot{
-		Kind:        Weighted,
-		Round:       int64(e.Round()),
-		QuietStreak: int64(quietStreak),
-		Assign:      append([]int32(nil), st.AssignmentView()...),
-		FloatLoad:   append([]float64(nil), st.LoadsView()...),
-	}
 }
 
 // CaptureFluid snapshots a fluid simulator between rounds.
@@ -248,20 +229,6 @@ func replayStructural(g *game.Game, sched *events.Schedule, rounds int) error {
 		}
 	}
 	return nil
-}
-
-// RestoreWeighted rebuilds a weighted state from a snapshot (raw float
-// load bits) over the given game. Pair it with weighted.Engine.Restore on
-// an engine built over the returned state.
-func RestoreWeighted(g *weighted.Game, s *Snapshot) (*weighted.State, error) {
-	if s.Kind != Weighted {
-		return nil, fmt.Errorf("%w: restoring %s snapshot onto a weighted engine", ErrInvalid, s.Kind)
-	}
-	st, err := weighted.RestoreState(g, s.Assign, s.FloatLoad)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
-	}
-	return st, nil
 }
 
 // RestoreFluid overlays a fluid snapshot onto a freshly built simulator:

@@ -15,6 +15,7 @@ package checkpoint
 import (
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -23,9 +24,7 @@ import (
 	"congame/internal/core"
 	"congame/internal/events"
 	"congame/internal/fluid"
-	"congame/internal/latency"
 	"congame/internal/prng"
-	"congame/internal/weighted"
 	"congame/internal/workload"
 )
 
@@ -246,111 +245,6 @@ func TestExactCheckpointEveryRoundWithEvents(t *testing.T) {
 	exactDifferential(t, build, 18)
 }
 
-// weightedParts builds the shared weighted instance; every call is
-// identical.
-func weightedParts(t *testing.T) (*weighted.Game, *weighted.Protocol, []int32, []float64) {
-	t.Helper()
-	rng := prng.New(7)
-	mk := func(f latency.Function, err error) latency.Function {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	fns := []latency.Function{
-		mk(latency.NewLinear(1)),
-		mk(latency.NewAffine(0.5, 1.5)),
-		mk(latency.NewAffine(2, 0.25)),
-		mk(latency.NewLinear(3)),
-	}
-	weights := make([]float64, 60)
-	for i := range weights {
-		weights[i] = 0.5 + 4*rng.Float64()
-	}
-	g, err := weighted.NewGame(fns, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := weighted.NewProtocol(g, 0.25, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := make([]int32, len(weights))
-	for i := range assign {
-		assign[i] = int32(rng.Intn(len(fns)))
-	}
-	st, err := weighted.NewState(g, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, proto, assign, append([]float64(nil), st.LoadsView()...)
-}
-
-func TestWeightedCheckpointEveryRound(t *testing.T) {
-	const rounds = 25
-	const seed = 11
-
-	run := func(t *testing.T, workers, upTo int) (*weighted.Engine, []int) {
-		t.Helper()
-		g, proto, assign, _ := weightedParts(t)
-		st, err := weighted.NewState(g, assign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := weighted.NewEngine(st, proto, seed, weighted.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var movers []int
-		for i := 0; i < upTo; i++ {
-			movers = append(movers, e.Step())
-		}
-		return e, movers
-	}
-
-	refEngine, refMovers := run(t, 1, rounds)
-	wantAssign := append([]int32(nil), refEngine.State().AssignmentView()...)
-	wantLoad := append([]float64(nil), refEngine.State().LoadsView()...)
-
-	for _, w := range workerSet() {
-		for c := 0; c <= rounds; c++ {
-			pre, _ := run(t, w, c)
-			snap := roundTrip(t, CaptureWeighted(pre, 0))
-
-			g, proto, _, _ := weightedParts(t)
-			st, err := RestoreWeighted(g, snap)
-			if err != nil {
-				t.Fatalf("workers=%d c=%d: restore state: %v", w, c, err)
-			}
-			e, err := weighted.NewEngine(st, proto, seed, weighted.WithWorkers(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Restore(int(snap.Round)); err != nil {
-				t.Fatalf("workers=%d c=%d: restore engine: %v", w, c, err)
-			}
-			for i := c; i < rounds; i++ {
-				if got := e.Step(); got != refMovers[i] {
-					t.Fatalf("workers=%d c=%d round %d: %d movers, want %d", w, c, i, got, refMovers[i])
-				}
-			}
-			gotAssign := e.State().AssignmentView()
-			for p := range wantAssign {
-				if gotAssign[p] != wantAssign[p] {
-					t.Fatalf("workers=%d c=%d: player %d on link %d, want %d", w, c, p, gotAssign[p], wantAssign[p])
-				}
-			}
-			gotLoad := e.State().LoadsView()
-			for l := range wantLoad {
-				if math.Float64bits(gotLoad[l]) != math.Float64bits(wantLoad[l]) {
-					t.Fatalf("workers=%d c=%d: link %d load %v, want %v (bit-exact)", w, c, l, gotLoad[l], wantLoad[l])
-				}
-			}
-		}
-	}
-}
-
 // fluidScenario builds a fresh sim (and optional schedule); every call is
 // identical.
 type fluidScenario func(t *testing.T) (*fluid.Sim, *events.Schedule)
@@ -485,10 +379,14 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		Mass:        []float64{0.5, 0.25, 0.25},
 		Wraps:       []fluid.LinkWrap{{Pop: 400}, {Pop: 400, Scale: 1.2}, {Pop: 400}},
 	}
-	if err := WriteFile(path, want); err != nil {
+	if err := WriteBytes(path, want.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,6 +446,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			b[6] = 99
 			return reseal(b)
 		}()},
+		{"unknown kind 2 (the retired weighted snapshot)", func() []byte {
+			w := writer{buf: append([]byte(nil), magic[:]...)}
+			w.u16(FormatVersion)
+			w.u8(2)
+			w.i64(9) // round
+			w.i64(0) // quiet streak
+			w.i32s([]int32{1, 0, 1})
+			w.f64s([]float64{2.5, 4})
+			return reseal(w.buf)
+		}()},
 		{"oversized count", func() []byte {
 			b := append([]byte(nil), good[:len(good)-4]...)
 			// Assign length prefix sits after magic(4)+version(2)+kind(1)+
@@ -568,15 +476,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestRestoreRejectsKindMismatch pins the cross-backend guard rails.
 func TestRestoreRejectsKindMismatch(t *testing.T) {
 	exact := &Snapshot{Kind: Exact}
-	wtd := &Snapshot{Kind: Weighted}
+	fl := &Snapshot{Kind: Fluid}
 
 	sim := fluidBase(t)
 	if err := RestoreFluid(sim, exact, nil); err == nil {
 		t.Error("fluid restore accepted an exact snapshot")
-	}
-	g, _, _, _ := weightedParts(t)
-	if _, err := RestoreWeighted(g, exact); err == nil {
-		t.Error("weighted restore accepted an exact snapshot")
 	}
 	inst, err := workload.LinearSingletons(4, 50, 2, prng.New(3))
 	if err != nil {
@@ -590,8 +494,8 @@ func TestRestoreRejectsKindMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RestoreEngine(e, wtd, nil); err == nil {
-		t.Error("exact restore accepted a weighted snapshot")
+	if err := RestoreEngine(e, fl, nil); err == nil {
+		t.Error("exact restore accepted a fluid snapshot")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 
 	"congame/internal/fluid"
 )
@@ -32,7 +31,7 @@ const FormatVersion uint16 = 2
 
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() []byte {
-	w := writer{buf: make([]byte, 0, 64+8*len(s.Assign)+8*len(s.Mass)+8*len(s.FloatLoad))}
+	w := writer{buf: make([]byte, 0, 64+8*len(s.Assign)+8*len(s.Mass))}
 	w.buf = append(w.buf, magic[:]...)
 	w.u16(FormatVersion)
 	w.u8(uint8(s.Kind))
@@ -48,9 +47,6 @@ func (s *Snapshot) Encode() []byte {
 			w.i32s(set)
 		}
 		w.bools(s.Retired)
-	case Weighted:
-		w.i32s(s.Assign)
-		w.f64s(s.FloatLoad)
 	case Fluid:
 		w.f64(s.Phi)
 		w.f64(s.MoveMass)
@@ -95,9 +91,6 @@ func Decode(data []byte) (*Snapshot, error) {
 			s.Strategies = append(s.Strategies, r.i32s())
 		}
 		s.Retired = r.bools()
-	case Weighted:
-		s.Assign = r.i32s()
-		s.FloatLoad = r.f64s()
 	case Fluid:
 		s.Phi = r.f64()
 		s.MoveMass = r.f64()
@@ -124,8 +117,11 @@ func Decode(data []byte) (*Snapshot, error) {
 // WriteBytes atomically replaces the file at path: data is written to a
 // temporary file in the target directory, synced to stable storage, and
 // renamed over the destination, so a crash mid-write leaves either the old
-// file or the new one — never a torn file. Shared by every checkpoint
-// artifact (binary snapshots, progress manifests).
+// file or the new one — never a torn file. Every durable file goes through
+// it: the progress manifest that holds the binary snapshots, and the
+// daemon's job, spec and result files. The CRC inside each snapshot
+// catches the failure modes atomic replacement cannot (partial sector
+// writes) at read time.
 func WriteBytes(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -147,26 +143,6 @@ func WriteBytes(path string, data []byte) error {
 		return fmt.Errorf("checkpoint: %w", werr)
 	}
 	return nil
-}
-
-// WriteFile atomically persists the snapshot via WriteBytes. The CRC
-// catches the failure modes atomic replacement cannot (partial sector
-// writes) at read time.
-func WriteFile(path string, s *Snapshot) error {
-	return WriteBytes(path, s.Encode())
-}
-
-// ReadFile loads and decodes a snapshot written by WriteFile.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(filepath.Clean(path))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	s, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	return s, nil
 }
 
 // writer appends little-endian fields to a growing buffer.

@@ -47,7 +47,6 @@ func TestDecodeRejectsFormatV1(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	for _, s := range []*Snapshot{
 		{Kind: Exact, Round: 5, QuietStreak: 1, Moves: 17, Phi: 2.5, Assign: []int32{0, 1, 2}, Strategies: [][]int32{{0}, {1, 2}, {2}}, Retired: []bool{false, true, false}},
-		{Kind: Weighted, Round: 9, Assign: []int32{1, 0, 1}, FloatLoad: []float64{2.5, 4}},
 		{Kind: Fluid, Round: 42, QuietStreak: 3, Phi: 1.25, MoveMass: 1e-7, Mass: []float64{0.5, 0.25, 0.25}, Wraps: []fluid.LinkWrap{{Pop: 400}, {Pop: 400, Scale: 1.2}, {Pop: 400}}},
 	} {
 		b := s.Encode()

@@ -298,9 +298,8 @@ func (m *manifest) persist(snap *checkpoint.Snapshot, cell, rep int, last dynami
 	return m.save()
 }
 
-// save atomically replaces the manifest file (temp + fsync + rename, the
-// same protocol as checkpoint.WriteFile). Callers hold m.mu, or own m
-// alone.
+// save atomically replaces the manifest file through checkpoint.WriteBytes
+// (temp + fsync + rename). Callers hold m.mu, or own m alone.
 func (m *manifest) save() error {
 	data, err := json.Marshal(m)
 	if err != nil {

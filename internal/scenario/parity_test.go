@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"congame/internal/scenario"
@@ -102,11 +103,11 @@ func TestSweepMatchesExperimentE3Network(t *testing.T) {
 // TestExampleSpecsValidate loads every committed example spec and
 // expands both its full- and quick-mode grids, without running them.
 func TestExampleSpecsValidate(t *testing.T) {
-	for _, path := range []string{
-		"../../examples/scenarios/e2-monomial-singletons.json",
-		"../../examples/scenarios/e3-poly-network.json",
-		"../../examples/scenarios/braess-combined.json",
-	} {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found (err %v)", err)
+	}
+	for _, path := range paths {
 		spec, err := scenario.Load(path)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)

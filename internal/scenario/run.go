@@ -103,22 +103,12 @@ func prngNew(seed uint64) *rand.Rand { return prng.New(seed) }
 // cancellation every running replication persists its snapshot, and the
 // error wraps both ErrSuspended and ctx.Err().
 func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("%w: nil spec", ErrInvalid)
-	}
-	if err := spec.Validate(); err != nil {
+	s, err := resolve(spec, opts)
+	if err != nil {
 		return nil, err
-	}
-	s := spec.Effective(opts.Quick)
-	if opts.Par > 0 {
-		s.Par = opts.Par
-	}
-	if opts.Workers != 0 {
-		s.Workers = opts.Workers
 	}
 	var m *manifest
 	if opts.Checkpoint != nil {
-		var err error
 		if m, err = openManifest(*opts.Checkpoint, s); err != nil {
 			return nil, err
 		}
@@ -180,6 +170,25 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// resolve validates spec and returns the spec Run executes: a copy with
+// the quick overrides when opts.Quick, then opts' Par and Workers.
+func resolve(spec *Spec, opts Options) (*Spec, error) {
+	if spec == nil {
+		return nil, fmt.Errorf("%w: nil spec", ErrInvalid)
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	s := spec.Effective(opts.Quick)
+	if opts.Par > 0 {
+		s.Par = opts.Par
+	}
+	if opts.Workers != 0 {
+		s.Workers = opts.Workers
+	}
+	return s, nil
+}
+
 // tableSkeleton prepares the output table: axis columns, then metrics.
 func (s *Spec) tableSkeleton() sim.Table {
 	t := sim.Table{ID: s.Name, Title: s.Title, Claim: s.Claim}
@@ -216,31 +225,62 @@ type cellRun struct {
 	m        *manifest
 }
 
-// runCell executes the cell's replications that the manifest does not
-// already hold through runner.Map, and folds all of them, in replication
-// order, into the cell's result.
-func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest) (CellResult, error) {
+// newCellRun prepares the set-up every replication of the cell shares:
+// the event schedule and the trace recorder.
+func (s *Spec) newCellRun(cell Cell, opts Options, m *manifest) (*cellRun, error) {
 	c := &cellRun{s: s, cell: cell, workers: s.engineWorkers(), reg: opts.Registry, j: opts.Journal, m: m}
+	var err error
 	// The schedule is stateless (per-round application reads only the
 	// passed state), so one instance is shared by every replication; the
 	// per-instance validation happens inside SetEvents.
 	if len(s.Events) > 0 {
-		var err error
-		c.sched, err = events.NewSchedule(s.Events)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("%w: %w", ErrInvalid, err)
+		if c.sched, err = events.NewSchedule(s.Events); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 		}
 	}
 	if s.Trace != nil {
-		var err error
 		if s.Trace.Capacity > 0 {
 			c.recorder, err = trace.NewRing(s.Trace.Capacity)
 		} else {
 			c.recorder = trace.NewRecorder()
 		}
 		if err != nil {
-			return CellResult{}, err
+			return nil, err
 		}
+	}
+	return c, nil
+}
+
+// Replication builds replication rep of one grid cell without running it,
+// through the construction Run uses for that replication (instance,
+// dynamics kind, event schedule, instrumentation, trace and drift
+// observers), and returns it with its stop condition (nil: the fixed round
+// budget). spec and opts resolve as in Run, except that nothing is
+// checkpointed and the replication counts as running alone: an auto worker
+// count gives its engine GOMAXPROCS workers. opts.Journal receives the rows
+// of replication 0. Running Dyn for the resolved spec's round budget
+// reproduces Run's Results[rep] for the cell.
+func Replication(spec *Spec, cell Cell, rep int, opts Options) (Built, dynamics.StopCondition, error) {
+	s, err := resolve(spec, opts)
+	if err != nil {
+		return Built{}, nil, err
+	}
+	s.Par = 1 // a lone replication: engineWorkers keeps the auto count
+	c, err := s.newCellRun(cell, opts, nil)
+	if err != nil {
+		return Built{}, nil, err
+	}
+	b, stop, _, err := c.build(rep)
+	return b, stop, err
+}
+
+// runCell executes the cell's replications that the manifest does not
+// already hold through runner.Map, and folds all of them, in replication
+// order, into the cell's result.
+func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest) (CellResult, error) {
+	c, err := s.newCellRun(cell, opts, m)
+	if err != nil {
+		return CellResult{}, err
 	}
 
 	results := make([]dynamics.RunResult, s.Reps)
@@ -267,7 +307,7 @@ func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest
 	// returns after every job has finished. A replication polls the run's
 	// ctx, not the one Map hands it: Map cancels that one when a sibling
 	// fails, and the failure must not turn into a suspension.
-	_, err := runner.Map(ctx, len(todo), s.Par, func(_ context.Context, i int) (struct{}, error) {
+	_, err = runner.Map(ctx, len(todo), s.Par, func(_ context.Context, i int) (struct{}, error) {
 		return struct{}{}, c.runRep(ctx, todo[i], results, drifts)
 	})
 	if m != nil && !errors.Is(err, ErrSuspended) && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -302,10 +342,11 @@ func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest
 // only then records the result: in results[rep] and drifts[rep], and in
 // the manifest when checkpointing.
 func (c *cellRun) runRep(ctx context.Context, rep int, results []dynamics.RunResult, drifts []fluid.Drift) error {
-	d, stop, tracker, err := c.build(rep)
+	b, stop, tracker, err := c.build(rep)
 	if err != nil {
 		return fmt.Errorf("replication %d: %w", rep, err)
 	}
+	d := b.Dyn
 	// The traced and drift-tracked replications accumulate observer state
 	// a snapshot does not capture; like families that are not
 	// Checkpointable, they run whole through their own Run (the sequential
@@ -339,7 +380,7 @@ func (c *cellRun) traced(rep int) bool { return c.recorder != nil && rep == c.s.
 // build constructs one replication: instance, dynamics kind, event
 // schedule, instrumentation, stop condition, trace recorder, and drift
 // tracker (nil unless the spec requests a drift metric).
-func (c *cellRun) build(rep int) (dynamics.Dynamics, dynamics.StopCondition, *fluid.DriftTracker, error) {
+func (c *cellRun) build(rep int) (Built, dynamics.StopCondition, *fluid.DriftTracker, error) {
 	s, cell := c.s, c.cell
 	fam := families[s.Instance.Family]
 	kind := dynKinds[s.Dynamics.Kind]
@@ -347,11 +388,11 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, dynamics.StopCondition, *fl
 	rng := prng.New(s.InstanceSeed(cell, rep))
 	inst, err := fam.Build(cell.Instance, rng)
 	if err != nil {
-		return nil, nil, nil, err
+		return Built{}, nil, nil, err
 	}
 	built, err := kind.Build(inst, cell.Dynamics, s.DynamicsSeed(cell, rep), c.workers)
 	if err != nil {
-		return nil, nil, nil, err
+		return Built{}, nil, nil, err
 	}
 	// Replication 0 is the journaled representative: its rounds,
 	// phase timings, and event firings stream to the journal.
@@ -362,7 +403,7 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, dynamics.StopCondition, *fl
 	if c.sched != nil {
 		ev, ok := built.Dyn.(dynamics.Evented)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: dynamics %s does not support event schedules", ErrInvalid, s.Dynamics.Kind)
+			return Built{}, nil, nil, fmt.Errorf("%w: dynamics %s does not support event schedules", ErrInvalid, s.Dynamics.Kind)
 		}
 		var fobs []events.FiringObserver
 		if repJ != nil {
@@ -371,35 +412,35 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, dynamics.StopCondition, *fl
 			})
 		}
 		if err := ev.SetEvents(c.sched, fobs...); err != nil {
-			return nil, nil, nil, err
+			return Built{}, nil, nil, err
 		}
 	}
 	dynamics.Instrument(built.Dyn, c.reg, repJ, cell.Index, rep)
 	var stop dynamics.StopCondition
 	if s.Stop != nil {
 		if stop, err = stopKinds[s.Stop.Kind].Build(cell.Stop, built); err != nil {
-			return nil, nil, nil, err
+			return Built{}, nil, nil, err
 		}
 	}
 	if c.traced(rep) {
 		if obs, ok := built.Dyn.(dynamics.Observable); ok {
 			obs.SetObserver(c.recorder)
 		} else {
-			return nil, nil, nil, fmt.Errorf("%w: dynamics %s cannot record traces", ErrInvalid, s.Dynamics.Kind)
+			return Built{}, nil, nil, fmt.Errorf("%w: dynamics %s cannot record traces", ErrInvalid, s.Dynamics.Kind)
 		}
 	}
 	var tracker *fluid.DriftTracker
 	if s.wantsDrift() {
 		if tracker, err = newDriftTracker(built, cell.Dynamics, s.DynamicsSeed(cell, rep)); err != nil {
-			return nil, nil, nil, err
+			return Built{}, nil, nil, err
 		}
 		obs, ok := built.Dyn.(dynamics.Observable)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: dynamics %s cannot attach a drift tracker", ErrInvalid, s.Dynamics.Kind)
+			return Built{}, nil, nil, fmt.Errorf("%w: dynamics %s cannot attach a drift tracker", ErrInvalid, s.Dynamics.Kind)
 		}
 		obs.SetObserver(tracker)
 	}
-	return built.Dyn, stop, tracker, nil
+	return built, stop, tracker, nil
 }
 
 // addRow appends the cell's table row: axis values, then metric values.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -410,5 +411,47 @@ func TestFormatValue(t *testing.T) {
 		if got := formatValue(in); got != want {
 			t.Errorf("formatValue(%v) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestReplicationMatchesRun pins Replication to Run: every replication it
+// builds, run for the spec's round budget, reproduces Run's result for
+// that replication. It covers an event-scheduled spec (churn-recovery's
+// first cell) and a sequential kind.
+func TestReplicationMatchesRun(t *testing.T) {
+	churn, err := Load("../../examples/scenarios/churn-recovery.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := minimalSpec()
+	seq.Dynamics = DynamicsSpec{Kind: "sequential-imitation"}
+	seq.Stop = &StopSpec{Kind: "quiet", Params: Params{"rounds": 3}}
+	seq.Rounds = 400
+	for _, tc := range []struct {
+		name string
+		spec *Spec
+		opts Options
+	}{
+		{"events", churn, Options{Quick: true}},
+		{"sequential", seq, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(context.Background(), tc.spec, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := res.Cells[0]
+			for rep, want := range cell.Results {
+				b, stop, err := Replication(tc.spec, cell.Cell, rep, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// %+v, not ==: sequential kinds report a NaN potential.
+				got := b.Dyn.Run(res.Spec.Rounds, stop)
+				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+					t.Errorf("rep %d: Replication ran %+v, Run recorded %+v", rep, got, want)
+				}
+			}
+		})
 	}
 }

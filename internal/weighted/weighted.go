@@ -111,37 +111,6 @@ func NewState(g *Game, assign []int32) (*State, error) {
 	return st, nil
 }
 
-// RestoreState rebuilds a state from a checkpoint: the assignment is
-// copied and the load vector is adopted RAW, bit for bit, instead of being
-// re-summed. Float link loads are accumulated incrementally move by move,
-// so their exact bits depend on the full migration history — a fresh
-// summation (NewState) can differ in the last ulp and fork the resumed
-// trajectory. Checkpoint/resume (internal/checkpoint) therefore snapshots
-// and restores the live float bits. The load vector's consistency with the
-// assignment is checked to Validate's tolerance.
-func RestoreState(g *Game, assign []int32, load []float64) (*State, error) {
-	if len(assign) != g.NumPlayers() {
-		return nil, fmt.Errorf("%w: assignment has %d players, want %d", ErrInvalid, len(assign), g.NumPlayers())
-	}
-	if len(load) != g.NumLinks() {
-		return nil, fmt.Errorf("%w: load vector has %d links, want %d", ErrInvalid, len(load), g.NumLinks())
-	}
-	for i, e := range assign {
-		if e < 0 || int(e) >= g.NumLinks() {
-			return nil, fmt.Errorf("%w: player %d on link %d, have %d links", ErrInvalid, i, e, g.NumLinks())
-		}
-	}
-	st := &State{
-		g:      g,
-		assign: append([]int32(nil), assign...),
-		load:   append([]float64(nil), load...),
-	}
-	if err := st.Validate(); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // NewRandomState assigns every player to a uniformly random link.
 func NewRandomState(g *Game, rng *rand.Rand) (*State, error) {
 	assign := make([]int32, g.NumPlayers())
@@ -163,11 +132,6 @@ func (st *State) Load(e int) float64 { return st.load[e] }
 // AssignmentView returns the player-to-link vector. Callers must not
 // modify it; it becomes stale after Move.
 func (st *State) AssignmentView() []int32 { return st.assign }
-
-// LoadsView returns the per-link weight vector (live float bits — the
-// values checkpoint/resume must preserve exactly). Callers must not
-// modify it.
-func (st *State) LoadsView() []float64 { return st.load }
 
 // LinkLatency returns ℓ_e(W_e).
 func (st *State) LinkLatency(e int) float64 {
@@ -424,18 +388,6 @@ func (e *Engine) State() *State { return e.st }
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() int { return e.round }
-
-// Restore overwrites the engine's round counter — the only engine-level
-// trajectory state (decision draws derive statelessly from (seed, round,
-// player), and the latency cache and decision buffer are rebuilt every
-// Step). The checkpoint/resume entry point: pair it with RestoreState.
-func (e *Engine) Restore(round int) error {
-	if round < 0 {
-		return fmt.Errorf("%w: restore round %d, need ≥ 0", ErrInvalid, round)
-	}
-	e.round = round
-	return nil
-}
 
 // block returns the lazily allocated batched PRNG block for a worker.
 func (e *Engine) block(w int) *prng.Block {
