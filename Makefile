@@ -108,23 +108,31 @@ sweep-quick: ## Run the example scenario specs in quick mode (smoke).
 		$(GO) run ./cmd/sweep -spec examples/scenarios/$$s.json -quick -format text || exit 1; \
 	done
 
-# The golden files pin the sweep output byte-for-byte: CI regenerates
-# them (sweep-check) and fails on any diff. After an intentional change
-# to a spec or to the aggregation/formatting path, run `make
-# sweep-golden` and commit the updated examples/scenarios/golden/*.csv.
-sweep-golden: ## Regenerate the committed golden CSVs for the example specs.
+# The golden files pin the sweep output byte-for-byte: golden/<spec>.csv
+# is the quick-mode table and golden/full/<spec>.csv the full-size one.
+# The full-size goldens of e2-monomial-singletons and e3-poly-network are
+# the reference tables of E2 and of E3's layered-DAG rows (EXPERIMENTS.md,
+# "Spec-file equivalents"). CI regenerates both sets (sweep-check) and
+# fails on any diff. After an intentional change to a spec or to the
+# aggregation/formatting path, run `make sweep-golden` and commit the
+# updated examples/scenarios/golden/*.csv and golden/full/*.csv.
+sweep-golden: ## Regenerate the committed quick (golden/) and full-size (golden/full/) CSVs of the example specs.
+	@mkdir -p examples/scenarios/golden/full
 	@for s in $(SCENARIOS); do \
 		$(GO) run ./cmd/sweep -spec examples/scenarios/$$s.json -quick \
 			-out examples/scenarios/golden/$$s.csv >/dev/null || exit 1; \
 		echo "wrote examples/scenarios/golden/$$s.csv"; \
+		$(GO) run ./cmd/sweep -spec examples/scenarios/$$s.json \
+			-out examples/scenarios/golden/full/$$s.csv >/dev/null || exit 1; \
+		echo "wrote examples/scenarios/golden/full/$$s.csv"; \
 	done
 
 serve-smoke: ## End-to-end daemon check: submit, kill mid-run, resume, byte-compare vs cmd/sweep (CI).
 	sh scripts/serve-smoke.sh
 
-sweep-check: sweep-golden ## Regenerate goldens and fail on any diff (CI).
+sweep-check: sweep-golden ## Regenerate quick and full-size goldens and fail on any diff or untracked file (CI).
 	git diff --exit-code examples/scenarios/golden
-	@untracked=$$(git status --porcelain examples/scenarios/golden | grep '^??' || true); \
+	@untracked=$$(git status --porcelain --untracked-files=all examples/scenarios/golden | grep '^??' || true); \
 	if [ -n "$$untracked" ]; then \
 		echo "uncommitted golden files:"; echo "$$untracked"; exit 1; \
 	fi

@@ -556,35 +556,30 @@ func benchFluidVsExact(b *testing.B) {
 }
 
 // benchRunnerSpec measures a full replicated run — reps independent
-// imitation simulations, 50 rounds each — through runner.Run.
+// imitation simulations, 50 rounds each, seeded prng.Mix(1, 0xbe7c, rep) —
+// fanned out through runner.Map.
 func benchRunnerSpec(b *testing.B, reps, par int) {
-	spec := runner.Spec{
-		Reps:        reps,
-		MaxRounds:   50,
-		BaseSeed:    1,
-		Key:         0xbe7c,
-		Parallelism: par,
-		New: func(rep int, seed uint64) (dynamics.Dynamics, error) {
-			inst, err := workload.LinearSingletons(20, 2000, 4, prng.New(seed))
-			if err != nil {
-				return nil, err
-			}
-			im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
-			if err != nil {
-				return nil, err
-			}
-			e, err := core.NewEngine(inst.State, im, core.WithSeed(seed), core.WithWorkers(1))
-			if err != nil {
-				return nil, err
-			}
-			return dynamics.FromEngine(e), nil
-		},
+	rep := func(_ context.Context, rep int) (dynamics.RunResult, error) {
+		seed := prng.Mix(1, 0xbe7c, uint64(rep))
+		inst, err := workload.LinearSingletons(20, 2000, 4, prng.New(seed))
+		if err != nil {
+			return dynamics.RunResult{}, err
+		}
+		im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
+		if err != nil {
+			return dynamics.RunResult{}, err
+		}
+		e, err := core.NewEngine(inst.State, im, core.WithSeed(seed), core.WithWorkers(1))
+		if err != nil {
+			return dynamics.RunResult{}, err
+		}
+		return dynamics.FromEngine(e).Run(50, nil), nil
 	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(ctx, spec); err != nil {
+		if _, err := runner.Map(ctx, reps, par, rep); err != nil {
 			b.Fatal(err)
 		}
 	}

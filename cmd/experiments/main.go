@@ -1,5 +1,8 @@
-// Command experiments regenerates the paper-reproduction tables (E1–E16,
-// listed in EXPERIMENTS.md).
+// Command experiments regenerates the paper-reproduction tables of the
+// Go experiment registry (E1 and E3–E16, listed in EXPERIMENTS.md). E2
+// and E3's layered-DAG rows are scenario specs that cmd/sweep runs
+// (examples/scenarios/e2-monomial-singletons.json and
+// e3-poly-network.json).
 //
 // Usage:
 //

@@ -68,8 +68,9 @@
 // replication schedule, and a parameter grid; string-keyed registries
 // resolve the names, grid cells derive their seeds purely from spec
 // coordinates, and cmd/sweep runs a spec file end-to-end. The committed
-// example specs under examples/scenarios reproduce cmd/experiments
-// tables byte-for-byte (DESIGN.md §7).
+// example specs under examples/scenarios are pinned by quick and
+// full-size golden CSVs; two of them are the only implementation of
+// experiment E2 and of E3's layered-DAG rows (DESIGN.md §7).
 //
 // # Mean-field fast path
 //
@@ -131,14 +132,14 @@
 //	internal/dynamics   unified Dynamics interface + per-family adapters
 //	internal/runner     replication-parallel executor (deterministic folds)
 //	internal/workload   named instance families
-//	internal/sim        experiment registry E1–E16 and table rendering
+//	internal/sim        experiment registry (E1, E3–E16) and table rendering
 //	internal/scenario   declarative scenario specs + parameter-sweep engine
 //	internal/stats      summary statistics and scaling fits
 //	internal/trace      trajectory recording, CSV/NDJSON, sparklines
 //	internal/obs        metrics, run journal, Prometheus/JSON exporter
 //
 // Binaries: cmd/imitsim (runs and explains one trajectory of a one-cell
-// scenario spec), cmd/experiments (regenerates every experiment table),
+// scenario spec), cmd/experiments (regenerates the Go experiment tables),
 // cmd/sweep (runs declarative scenario specs), cmd/serve (the simulation
 // daemon), cmd/bench (machine-readable benchmark report), and
 // cmd/metricscheck (metrics-schema gate). Runnable examples live under

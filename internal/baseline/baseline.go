@@ -62,6 +62,9 @@ type Result struct {
 	// Converged reports whether the dynamics reached their absorbing state
 	// within the step budget.
 	Converged bool
+	// DeltaPotential is the summed exact ΔΦ that State.Move returned for
+	// the moves applied.
+	DeltaPotential float64
 }
 
 // BestResponse runs sequential best-response dynamics: in each step one
@@ -80,6 +83,7 @@ func BestResponse(st *game.State, oracle eq.Oracle, pol Policy, rng *rand.Rand, 
 	}
 	n := st.Game().NumPlayers()
 	view := new(game.RoundView) // filled incrementally by Sync at each step
+	var dphi float64
 	for step := 0; step < maxSteps; step++ {
 		view.Sync(st)
 		type cand struct {
@@ -96,7 +100,7 @@ func BestResponse(st *game.State, oracle eq.Oracle, pol Policy, rng *rand.Rand, 
 			}
 		}
 		if len(candidates) == 0 {
-			return Result{Steps: step, Converged: true}, nil
+			return Result{Steps: step, Converged: true, DeltaPotential: dphi}, nil
 		}
 		chosen := candidates[0]
 		switch pol {
@@ -120,9 +124,9 @@ func BestResponse(st *game.State, oracle eq.Oracle, pol Policy, rng *rand.Rand, 
 			return Result{}, fmt.Errorf("baseline: register best response: %w", err)
 		}
 		st.EnsureStrategies()
-		st.Move(chosen.player, id)
+		dphi += st.Move(chosen.player, id)
 	}
-	return Result{Steps: maxSteps, Converged: false}, nil
+	return Result{Steps: maxSteps, Converged: false, DeltaPotential: dphi}, nil
 }
 
 // EpsilonGreedyBestResponse runs sequential dynamics where a player moves
@@ -141,6 +145,7 @@ func EpsilonGreedyBestResponse(st *game.State, oracle eq.Oracle, eps float64, rn
 	}
 	n := st.Game().NumPlayers()
 	view := new(game.RoundView) // filled incrementally by Sync at each step
+	var dphi float64
 	for step := 0; step < maxSteps; step++ {
 		view.Sync(st)
 		type cand struct {
@@ -157,7 +162,7 @@ func EpsilonGreedyBestResponse(st *game.State, oracle eq.Oracle, eps float64, rn
 			}
 		}
 		if len(candidates) == 0 {
-			return Result{Steps: step, Converged: true}, nil
+			return Result{Steps: step, Converged: true, DeltaPotential: dphi}, nil
 		}
 		chosen := candidates[rng.Intn(len(candidates))]
 		id, _, err := st.Game().RegisterStrategy(chosen.imp.Strategy)
@@ -165,9 +170,9 @@ func EpsilonGreedyBestResponse(st *game.State, oracle eq.Oracle, eps float64, rn
 			return Result{}, fmt.Errorf("baseline: register response: %w", err)
 		}
 		st.EnsureStrategies()
-		st.Move(chosen.player, id)
+		dphi += st.Move(chosen.player, id)
 	}
-	return Result{Steps: maxSteps, Converged: false}, nil
+	return Result{Steps: maxSteps, Converged: false, DeltaPotential: dphi}, nil
 }
 
 // imitationMove is a single improving imitation step: player adopts the
@@ -229,10 +234,11 @@ func SequentialImitation(st *game.State, pol Policy, minGain float64, rng *rand.
 		return Result{}, fmt.Errorf("%w: minGain = %v", ErrInvalid, minGain)
 	}
 	view := new(game.RoundView) // filled incrementally by Sync at each step
+	var dphi float64
 	for step := 0; step < maxSteps; step++ {
 		moves := improvingImitations(view.Sync(st), minGain)
 		if len(moves) == 0 {
-			return Result{Steps: step, Converged: true}, nil
+			return Result{Steps: step, Converged: true, DeltaPotential: dphi}, nil
 		}
 		chosen := moves[0]
 		switch pol {
@@ -251,9 +257,9 @@ func SequentialImitation(st *game.State, pol Policy, minGain float64, rng *rand.
 				}
 			}
 		}
-		st.Move(chosen.player, chosen.to)
+		dphi += st.Move(chosen.player, chosen.to)
 	}
-	return Result{Steps: maxSteps, Converged: false}, nil
+	return Result{Steps: maxSteps, Converged: false, DeltaPotential: dphi}, nil
 }
 
 // LongestResult is the outcome of the exact longest-sequence search.
@@ -354,9 +360,10 @@ func Goldberg(st *game.State, rng *rand.Rand, maxSteps int) (Result, error) {
 	n := g.NumPlayers()
 	oracle := eq.SingletonOracle{}
 	view := new(game.RoundView) // filled incrementally by Sync at each step
+	var dphi float64
 	for step := 0; step < maxSteps; step++ {
 		if step%n == 0 && eq.IsNash(view.Sync(st), oracle, 0) {
-			return Result{Steps: step, Converged: true}, nil
+			return Result{Steps: step, Converged: true, DeltaPotential: dphi}, nil
 		}
 		p := rng.Intn(n)
 		e := rng.Intn(g.NumResources())
@@ -373,11 +380,11 @@ func Goldberg(st *game.State, rng *rand.Rand, maxSteps int) (Result, error) {
 			continue
 		}
 		if st.Gain(from, id) > 0 {
-			st.Move(p, id)
+			dphi += st.Move(p, id)
 		}
 	}
 	if eq.IsNash(view.Sync(st), eq.SingletonOracle{}, 0) {
-		return Result{Steps: maxSteps, Converged: true}, nil
+		return Result{Steps: maxSteps, Converged: true, DeltaPotential: dphi}, nil
 	}
-	return Result{Steps: maxSteps, Converged: false}, nil
+	return Result{Steps: maxSteps, Converged: false, DeltaPotential: dphi}, nil
 }

@@ -1,12 +1,12 @@
 package core
 
-// Kernel-vs-reference parity: decideRange dispatches the imitation-family
-// protocols to the devirtualized blocked kernels (kernels.go), while any
-// other Protocol value runs the generic scalar loop. Wrapping a protocol
-// in an opaque shim forces the generic path for the SAME protocol, so
-// these tests compare the two code paths directly — every round's stats,
-// every assignment, the folded potential — across symmetric singleton
-// games (the flattened raw-buffer loop), multi-resource games (the
+// Kernel-vs-reference parity: decideRange dispatches Imitation and
+// UndampedImitation to the devirtualized blocked kernels (kernels.go),
+// while any other Protocol value runs the generic scalar loop. Wrapping a
+// protocol in an opaque shim forces the generic path for the SAME
+// protocol, so these tests compare the two code paths directly — every
+// round's stats, every assignment, the folded potential — across symmetric
+// singleton games (the flattened raw-buffer loop), multi-resource games (the
 // cursor loop), asymmetric classes, and non-power-of-two player counts
 // (the Int31n modulo + rejection derivations). The kernels decide in
 // prng.Tile-player tiles, so each kernel is also run at player counts
@@ -272,23 +272,6 @@ func TestKernelMatchesGenericMultiClass(t *testing.T) {
 	}
 	for _, w := range workerCounts() {
 		runKernelParity(t, inst.State, im, w, 30)
-	}
-}
-
-// TestKernelMatchesGenericVirtual pins the VirtualImitation kernel.
-func TestKernelMatchesGenericVirtual(t *testing.T) {
-	for _, n := range append([]int{999}, multiTileNs...) {
-		inst, err := workload.HeavyTraffic(n, 12, prng.New(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		vi, err := NewVirtualImitation(inst.Game, ImitationConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range workerCounts() {
-			runKernelParity(t, inst.State, vi, w, 40)
-		}
 	}
 }
 

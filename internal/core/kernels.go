@@ -12,10 +12,10 @@ import (
 // The generic decide loop pays, per player, a virtual proto.Decide call, a
 // 3-word stream re-seed (Reusable.Reset3) and an interface-dispatched
 // Source64 draw inside every rand.Rand method. For the protocols the
-// engine actually runs hot — Imitation, VirtualImitation,
-// UndampedImitation — decideRange instead type-switches, once per shard,
-// to the monomorphic loops below, which walk the shard one prng.Tile at a
-// time: the worker's prng.Block fills the tile's first-2 stream outputs in
+// engine actually runs hot — Imitation and UndampedImitation —
+// decideRange instead type-switches, once per shard, to the monomorphic
+// loops below, which walk the shard one prng.Tile at a time: the
+// worker's prng.Block fills the tile's first-2 stream outputs in
 // one tight batched pass, and each player's decision consumes those draws
 // through a stack cursor in the exact order the scalar path consumes its
 // rand.Rand draws. The symmetric-singleton loop instead draws each
@@ -30,13 +30,13 @@ import (
 // player's decision reads only its own draws and the round-start view.
 // Exploration, Combined, and user-supplied protocols keep the generic
 // path: their draw counts are strategy-space dependent, which batching
-// cannot anticipate — the reference loop stays the semantic ground truth
-// either way.
+// cannot anticipate. VirtualImitation keeps it too: no workload runs it
+// hot. The reference loop stays the semantic ground truth either way.
 
 // kernelDraws is the per-player draw budget the kernels buffer: one
-// sampling draw (peer or virtual agent) plus one migration-probability
-// draw. Rejection resampling past the budget falls back to the cursor's
-// scalar continuation of the same stream.
+// peer-sampling draw plus one migration-probability draw. Rejection
+// resampling past the budget falls back to the cursor's scalar
+// continuation of the same stream.
 const kernelDraws = 2
 
 // decideImitationRange is Imitation.Decide inlined over one shard: sample
@@ -223,48 +223,5 @@ func imitateSingletonPlayer(n int, view *game.RoundView, p int, d *game.Delta, c
 	}
 	if cur.Float64() < scale*gain/lp {
 		d.RecordMove(p, to)
-	}
-}
-
-// decideVirtualRange is VirtualImitation.Decide inlined over one shard,
-// one prng.Tile at a time: sample among n real players plus K virtual
-// agents pinned to the registered strategies, then apply the imitation
-// rule. Virtual games are symmetric by construction (the constructor
-// enforces one class).
-func decideVirtualRange(vi *VirtualImitation, view *game.RoundView, lo, hi int, d *game.Delta, blk *prng.Block, seed, round uint64) {
-	n := vi.g.NumPlayers()
-	k := vi.g.NumStrategies()
-	nu := vi.nu
-	scale := vi.lambda / vi.d
-	singleton := vi.g.IsSingleton()
-	for t := lo; t < hi; t += prng.Tile {
-		end := min(t+prng.Tile, hi)
-		blk.Fill(seed, round, t, end)
-		for p := t; p < end; p++ {
-			cur := blk.Cursor(p)
-			var to int
-			if u := cur.Intn(n + k); u < n {
-				to = view.Assign(u)
-			} else {
-				to = u - n // a virtual agent pinned to strategy u−n
-			}
-			from := view.Assign(p)
-			if from == to {
-				continue
-			}
-			lp := view.StrategyLatency(from)
-			var gain float64
-			if singleton {
-				gain = lp - view.JoinLatency(to)
-			} else {
-				gain = lp - view.SwitchLatency(from, to)
-			}
-			if gain <= nu || lp <= 0 {
-				continue
-			}
-			if cur.Float64() < scale*gain/lp {
-				d.RecordMove(p, to)
-			}
-		}
 	}
 }

@@ -37,21 +37,19 @@ func (j poolJob) Run() {
 // and records the resulting migrations into the shard's private delta —
 // the same code path for the inline single-worker round, the caller's own
 // shard, and every pool worker, so decisions are identical regardless of
-// where a shard runs. The imitation-family protocols dispatch, once per
+// where a shard runs. Imitation and UndampedImitation dispatch, once per
 // shard, to the devirtualized blocked kernels (kernels.go), which walk
 // the shard in prng.Tile-player tiles so the worker's block stays one
 // cache-sized tile whatever the shard size. Everything else — innovative
-// protocols with data-dependent draw counts, user protocols — runs the
-// generic reference loop over the scalar per-player streams. Both faces
-// consume identical draw sequences, and every decision reads only its own
-// player's draws and the round-start view, so neither the split nor shard
-// or tile edges ever show up in a trajectory.
+// protocols with data-dependent draw counts, VirtualImitation, user
+// protocols — runs the generic reference loop over the scalar per-player
+// streams. Both faces consume identical draw sequences, and every decision
+// reads only its own player's draws and the round-start view, so neither
+// the split nor shard or tile edges ever show up in a trajectory.
 func decideRange(proto Protocol, view *game.RoundView, lo, hi int, d *game.Delta, sh *shard, seed, round uint64) {
 	switch pr := proto.(type) {
 	case *Imitation:
 		decideImitationRange(pr, view, lo, hi, d, sh, seed, round)
-	case *VirtualImitation:
-		decideVirtualRange(pr, view, lo, hi, d, sh.blk, seed, round)
 	case *UndampedImitation:
 		decideUndampedRange(pr, view, lo, hi, d, sh, seed, round)
 	default:

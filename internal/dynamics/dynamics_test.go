@@ -200,6 +200,53 @@ func TestGoldbergCountsSelections(t *testing.T) {
 	}
 }
 
+// TestSequentialReportsPotential: every sequential kind reports a running
+// Φ in its RoundStats that tracks the exact recompute over 50 activations,
+// and never NaN.
+func TestSequentialReportsPotential(t *testing.T) {
+	kinds := []struct {
+		name string
+		make func(inst *workload.Instance) (*Sequential, error)
+	}{
+		{"best-response", func(inst *workload.Instance) (*Sequential, error) {
+			return NewBestResponse(inst.State, inst.Oracle, baseline.PolicyRandom, prng.New(3))
+		}},
+		{"epsilon-greedy", func(inst *workload.Instance) (*Sequential, error) {
+			return NewEpsilonGreedy(inst.State, inst.Oracle, 0.05, prng.New(3))
+		}},
+		{"sequential-imitation", func(inst *workload.Instance) (*Sequential, error) {
+			return NewSequentialImitation(inst.State, baseline.PolicyRandom, 0, prng.New(3))
+		}},
+		{"goldberg", func(inst *workload.Instance) (*Sequential, error) {
+			return NewGoldberg(inst.State, prng.New(3), 10)
+		}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			inst := newTestInstance(t, 21)
+			phi0 := inst.State.Potential()
+			dyn, err := k.make(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s RoundStats
+			for i := 0; i < 50; i++ {
+				s = dyn.Step()
+				want := dyn.Potential()
+				if math.IsNaN(s.Potential) || math.Abs(s.Potential-want) > 1e-9*math.Abs(want) {
+					t.Fatalf("activation %d: reported Φ = %v, exact %v", i, s.Potential, want)
+				}
+			}
+			if err := dyn.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !(s.Potential < phi0) {
+				t.Errorf("Φ %v did not fall from %v: nothing moved", s.Potential, phi0)
+			}
+		})
+	}
+}
+
 // TestSequentialValidation propagates baseline constructor errors.
 func TestSequentialValidation(t *testing.T) {
 	inst := newTestInstance(t, 1)

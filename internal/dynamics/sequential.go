@@ -1,7 +1,6 @@
 package dynamics
 
 import (
-	"math"
 	"math/rand"
 
 	"congame/internal/baseline"
@@ -17,9 +16,11 @@ import (
 // (Goldberg: one chunk of selections) — so Round counts activations, the
 // unit the paper charges sequential dynamics in.
 //
-// Per-activation RoundStats report Round, Movers, AvgLatency, and
-// MaxLatency; Potential is NaN in the stream (the exact recompute is
-// O(Σ_e x_e) per call) and available on demand via the Potential method.
+// Per-activation RoundStats report Round, Movers, Potential, AvgLatency,
+// and MaxLatency. Potential is a running Φ: the exact potential at
+// construction plus the ΔΦ that State.Move returned for every applied move
+// (baseline.Result.DeltaPotential). The Potential method is the exact
+// O(Σ_e x_e) recompute.
 //
 // The best-response and imitation dynamics self-absorb: a Step that finds
 // no improving move marks the dynamics absorbed without counting an
@@ -30,8 +31,9 @@ import (
 type Sequential struct {
 	st          *game.State
 	step        func() (baseline.Result, error)
-	stride      int  // activations per Step
-	countsMoves bool // whether every counted activation is one migration
+	stride      int     // activations per Step
+	countsMoves bool    // whether every counted activation is one migration
+	phi         float64 // running potential (see the type comment)
 	rounds      int
 	moves       int
 	absorbed    bool
@@ -52,6 +54,7 @@ func NewBestResponse(st *game.State, oracle eq.Oracle, pol baseline.Policy, rng 
 		st:          st,
 		stride:      1,
 		countsMoves: true,
+		phi:         st.Potential(),
 		step: func() (baseline.Result, error) {
 			return baseline.BestResponse(st, oracle, pol, rng, 1)
 		},
@@ -67,6 +70,7 @@ func NewEpsilonGreedy(st *game.State, oracle eq.Oracle, eps float64, rng *rand.R
 		st:          st,
 		stride:      1,
 		countsMoves: true,
+		phi:         st.Potential(),
 		step: func() (baseline.Result, error) {
 			return baseline.EpsilonGreedyBestResponse(st, oracle, eps, rng, 1)
 		},
@@ -83,6 +87,7 @@ func NewSequentialImitation(st *game.State, pol baseline.Policy, minGain float64
 		st:          st,
 		stride:      1,
 		countsMoves: true,
+		phi:         st.Potential(),
 		step: func() (baseline.Result, error) {
 			return baseline.SequentialImitation(st, pol, minGain, rng, 1)
 		},
@@ -106,6 +111,7 @@ func NewGoldberg(st *game.State, rng *rand.Rand, chunk int) (*Sequential, error)
 	return &Sequential{
 		st:     st,
 		stride: chunk,
+		phi:    st.Potential(),
 		step: func() (baseline.Result, error) {
 			return baseline.Goldberg(st, rng, chunk)
 		},
@@ -148,7 +154,7 @@ func (s *Sequential) currentStats() RoundStats {
 	return RoundStats{
 		Round:      s.rounds - 1,
 		Players:    s.st.Game().NumPlayers(),
-		Potential:  math.NaN(),
+		Potential:  s.phi,
 		AvgLatency: s.st.AvgLatency(),
 		MaxLatency: s.st.Makespan(),
 	}
@@ -162,9 +168,13 @@ func (s *Sequential) Step() RoundStats {
 	}
 	res, err := s.step()
 	if err != nil {
+		// A failed chunk may have applied moves before the error; their
+		// ΔΦ is not reported, so recompute.
 		s.err = err
+		s.phi = s.st.Potential()
 		return s.currentStats()
 	}
+	s.phi += res.DeltaPotential
 	if s.countsMoves && res.Converged {
 		// The probe found no improving move: absorbed, no activation
 		// counted (baseline.Result.Steps counts applied moves only).

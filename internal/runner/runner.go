@@ -1,20 +1,15 @@
 // Package runner executes replicated simulations concurrently. The
 // paper's claims are statistical — expected potential drops, expected
 // convergence times — so every experiment averages over many independent
-// replications. PR 2 parallelized a single round (intra-round sharding in
-// the engines); this package adds the orthogonal axis: it fans whole
+// replications. The engines parallelize a single round (intra-round
+// sharding); this package adds the orthogonal axis: it fans whole
 // replications out across a bounded worker pool and folds the results
 // back in replication-index order, so every aggregate is bit-identical
 // regardless of scheduling, worker count, or GOMAXPROCS.
 //
-// Two entry points:
-//
-//   - Map is the generic primitive: n independent jobs, bounded
-//     parallelism, results in index order, deterministic error selection,
-//     context cancellation.
-//   - Run executes a Spec — a dynamics factory plus replication count,
-//     per-replication seeds derived from the prng streams, round budget,
-//     and stop condition — and returns the per-replication RunResults.
+// Map is the one entry point: n independent jobs, bounded parallelism,
+// results in index order, deterministic error selection, context
+// cancellation. Summarize folds a cell's RunResults into an Aggregate.
 //
 // Cancellation is cooperative at replication granularity: a canceled
 // context stops new replications from starting; in-flight ones run to
@@ -32,7 +27,6 @@ import (
 
 	"congame/internal/dynamics"
 	"congame/internal/obs"
-	"congame/internal/prng"
 )
 
 // ErrInvalid reports an invalid runner configuration.
@@ -167,59 +161,6 @@ dispatch:
 		return results, err
 	}
 	return results, nil
-}
-
-// Spec describes a replicated run of one dynamics family.
-type Spec struct {
-	// New builds the dynamics for one replication. seed is the
-	// replication's derived seed (see Seed); factories with richer seed
-	// schedules may ignore it and derive their own from rep.
-	New func(rep int, seed uint64) (dynamics.Dynamics, error)
-	// Stop returns the stop condition for one replication, or nil for a
-	// fixed round budget. A factory (rather than a shared StopCondition)
-	// because conditions may be stateful (e.g. dynamics.WhenQuiet).
-	Stop func(rep int) dynamics.StopCondition
-	// Reps is the number of independent replications.
-	Reps int
-	// MaxRounds is the per-replication round budget.
-	MaxRounds int
-	// BaseSeed and Key feed the per-replication seed derivation.
-	BaseSeed uint64
-	Key      uint64
-	// Parallelism bounds the worker pool (≤ 0 = GOMAXPROCS).
-	Parallelism int
-}
-
-// Seed derives the replication's seed from the spec's prng stream
-// coordinates: prng.Mix(BaseSeed, Key, rep).
-func (s Spec) Seed(rep int) uint64 {
-	return prng.Mix(s.BaseSeed, s.Key, uint64(rep))
-}
-
-// Run executes every replication of the spec across the worker pool and
-// returns the RunResults in replication order.
-func Run(ctx context.Context, spec Spec) ([]dynamics.RunResult, error) {
-	if spec.New == nil {
-		return nil, fmt.Errorf("%w: spec needs a factory", ErrInvalid)
-	}
-	if spec.Reps < 0 {
-		return nil, fmt.Errorf("%w: reps = %d", ErrInvalid, spec.Reps)
-	}
-	return Map(ctx, spec.Reps, spec.Parallelism, func(_ context.Context, rep int) (dynamics.RunResult, error) {
-		d, err := spec.New(rep, spec.Seed(rep))
-		if err != nil {
-			return dynamics.RunResult{}, fmt.Errorf("runner: replication %d: %w", rep, err)
-		}
-		var stop dynamics.StopCondition
-		if spec.Stop != nil {
-			stop = spec.Stop(rep)
-		}
-		res := d.Run(spec.MaxRounds, stop)
-		if s, ok := d.(interface{ Err() error }); ok && s.Err() != nil {
-			return res, fmt.Errorf("runner: replication %d: %w", rep, s.Err())
-		}
-		return res, nil
-	})
 }
 
 // Aggregate summarizes a slice of replication results.

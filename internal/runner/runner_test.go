@@ -200,79 +200,6 @@ func TestMapValidation(t *testing.T) {
 	}
 }
 
-// TestSpecRun: per-replication seeds come from the prng stream
-// coordinates and results fold in replication order, independent of
-// parallelism.
-func TestSpecRun(t *testing.T) {
-	spec := func(par int) Spec {
-		return Spec{
-			Reps:        10,
-			MaxRounds:   150,
-			BaseSeed:    5,
-			Key:         0xabc,
-			Parallelism: par,
-			New: func(rep int, seed uint64) (dynamics.Dynamics, error) {
-				inst, err := workload.LinearSingletons(6, 100, 4, prng.New(seed))
-				if err != nil {
-					return nil, err
-				}
-				im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
-				if err != nil {
-					return nil, err
-				}
-				e, err := core.NewEngine(inst.State, im, core.WithSeed(seed))
-				if err != nil {
-					return nil, err
-				}
-				return dynamics.FromEngine(e), nil
-			},
-			Stop: func(int) dynamics.StopCondition {
-				return dynamics.FromCore(core.StopWhenQuiet(5))
-			},
-		}
-	}
-	if got, want := spec(1).Seed(3), prng.Mix(5, 0xabc, 3); got != want {
-		t.Fatalf("Seed(3) = %d, want %d", got, want)
-	}
-	seq, err := Run(context.Background(), spec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := Run(context.Background(), spec(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, parRes) {
-		t.Error("Spec results differ between parallelism 1 and 4")
-	}
-	agg := Summarize(seq)
-	if agg.Reps != 10 {
-		t.Errorf("aggregate reps = %d, want 10", agg.Reps)
-	}
-	if agg.MeanRounds <= 0 {
-		t.Errorf("mean rounds = %v, want > 0", agg.MeanRounds)
-	}
-}
-
-// TestSpecValidation rejects broken specs and propagates factory errors
-// with the replication index.
-func TestSpecValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Spec{Reps: 1}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("nil factory: err = %v", err)
-	}
-	boom := errors.New("factory boom")
-	_, err := Run(context.Background(), Spec{
-		Reps:        3,
-		Parallelism: 1,
-		New: func(rep int, _ uint64) (dynamics.Dynamics, error) {
-			return nil, boom
-		},
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("factory error not propagated: %v", err)
-	}
-}
-
 // TestSummarizeEmpty: the zero aggregate.
 func TestSummarizeEmpty(t *testing.T) {
 	if agg := Summarize(nil); agg != (Aggregate{}) {

@@ -8,12 +8,14 @@
 // JSON.
 //
 // The point of the package is that a scenario is DATA, not Go: cmd/sweep
-// runs a spec file end-to-end, and the committed example specs under
-// examples/scenarios/ reproduce hand-rolled cmd/experiments tables
-// byte-for-byte (pinned by TestSweepMatchesExperiment*). Three registries
-// resolve names to constructors — instance families, dynamics kinds, and
-// stop conditions — plus a metric registry for the aggregate columns; see
-// registry.go for the built-in names and Register* for extending them.
+// runs a spec file end-to-end. The committed example specs under
+// examples/scenarios/ are pinned byte for byte by their quick and
+// full-size golden CSVs (TestExampleSpecsMatchGolden); two of them are
+// the only implementation of experiment E2 and of E3's layered-DAG rows.
+// Three registries resolve names to constructors — instance families,
+// dynamics kinds, and stop conditions — plus a metric registry for the
+// aggregate columns; see registry.go for the built-in names and
+// Register* for extending them.
 //
 // # Seed-derivation contract
 //
@@ -27,10 +29,10 @@
 // where coords are the cell's swept parameter values in seed_coords
 // order (default: sweep-axis declaration order) — exact non-negative
 // integers contribute their integer value, anything else its IEEE-754
-// bit pattern — and keys are the spec's stream identifiers. Hand-rolled experiments use
-// exactly this shape (e.g. E2: prng.Stream(seed, 2, rep, n, d) with
-// engine seed prng.Mix(seed, 21, rep, n, d)), which is what lets a spec
-// file reproduce their tables bit-for-bit.
+// bit pattern — and keys are the spec's stream identifiers. Hand-rolled
+// experiments use exactly this shape (e.g. E3's singleton rows:
+// prng.Stream(seed, 3, rep, n) with engine seed prng.Mix(seed, 31, rep,
+// n)), which is what lets a spec file reproduce their tables bit-for-bit.
 package scenario
 
 import (

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -446,9 +445,8 @@ func TestReplicationMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// %+v, not ==: sequential kinds report a NaN potential.
 				got := b.Dyn.Run(res.Spec.Rounds, stop)
-				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				if got != want {
 					t.Errorf("rep %d: Replication ran %+v, Run recorded %+v", rep, got, want)
 				}
 			}

@@ -54,7 +54,6 @@ type Experiment struct {
 func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "Potential super-martingale", Claim: "Corollary 3: E[ΔΦ] ≤ 0 in every round under the IMITATION PROTOCOL", Run: runE1},
-		{ID: "E2", Title: "Convergence to imitation-stable states", Claim: "Theorem 4 / Corollary 5: expected pseudopolynomial time, growing with n and d", Run: runE2},
 		{ID: "E3", Title: "Fast convergence to (δ,ε,ν)-equilibria", Claim: "Theorem 7 / Corollary 8: rounds = O((d/ε²δ)·log(Φ(x0)/Φ*)) — logarithmic in n", Run: runE3},
 		{ID: "E4", Title: "Approximation-parameter scaling", Claim: "Theorem 7: rounds scale polynomially in 1/ε², 1/δ and the elasticity d", Run: runE4},
 		{ID: "E5", Title: "Overshooting ablation", Claim: "Section 2.3: without the 1/d damping the two-link instance overshoots by Θ(d)", Run: runE5},
@@ -222,62 +221,6 @@ func runE1(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// --- E2: time to imitation-stable states ----------------------------------
-
-func runE2(cfg Config) (Table, error) {
-	t := Table{
-		ID:      "E2",
-		Title:   "Rounds to an imitation-stable state (monomial singletons)",
-		Claim:   "Theorem 4: pseudopolynomial; time grows with n and the degree d",
-		Headers: []string{"degree d", "n", "mean rounds", "CI95", "converged"},
-	}
-	reps := cfg.pick(10, 3)
-	ns := []int{64, 256, 1024}
-	if cfg.Quick {
-		ns = []int{64, 256}
-	}
-	maxRounds := cfg.pick(50000, 5000)
-	for _, d := range []float64{1, 2, 3} {
-		for _, n := range ns {
-			d, n := d, n
-			results, err := mapReps(cfg, reps, func(rep int) (dynamics.RunResult, error) {
-				rng := prng.Stream(cfg.Seed, 2, uint64(rep), uint64(n), uint64(d))
-				inst, err := workload.MonomialSingletons(10, n, d, 4, rng)
-				if err != nil {
-					return dynamics.RunResult{}, err
-				}
-				im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
-				if err != nil {
-					return dynamics.RunResult{}, err
-				}
-				dyn, err := cfg.newDynamics(inst, im, prng.Mix(cfg.Seed, 21, uint64(rep), uint64(n), uint64(d)))
-				if err != nil {
-					return dynamics.RunResult{}, err
-				}
-				return dyn.Run(maxRounds, dynamics.FromCore(core.StopWhenImitationStable(im.Nu()))), nil
-			})
-			if err != nil {
-				return t, err
-			}
-			var rounds []float64
-			converged := 0
-			for _, res := range results {
-				rounds = append(rounds, float64(res.Rounds))
-				if res.Converged {
-					converged++
-				}
-			}
-			s, err := stats.Summarize(rounds)
-			if err != nil {
-				return t, err
-			}
-			t.AddRow(d, n, s.Mean, s.CI95(), fmt.Sprintf("%d/%d", converged, reps))
-		}
-	}
-	t.AddNote("shape check: rounds increase with n for fixed d (pseudopolynomial bound O(d·n·ℓmax·Φ/ν²))")
-	return t, nil
-}
-
 // --- E3: headline — log(n) convergence to approx equilibria ----------------
 
 func runE3(cfg Config) (Table, error) {
@@ -347,44 +290,6 @@ func runE3(cfg Config) (Table, error) {
 	}
 	if fit, err := stats.PowerFit(xs, addOne(ys)); err == nil {
 		t.AddNote("power fit exponent %.3f (≈ 0 ⇒ sub-polynomial growth in n, as Theorem 7 requires; contrast with exponent ≈ 1 in E7)", fit.Slope)
-	}
-
-	// Network instance: same protocol on a layered DAG with degree-2
-	// polynomials.
-	netNs := []int{64, 256, 1024}
-	if cfg.Quick {
-		netNs = []int{64, 256}
-	}
-	for _, n := range netNs {
-		n := n
-		results, err := mapReps(cfg, reps, func(rep int) (dynamics.RunResult, error) {
-			rng := prng.Stream(cfg.Seed, 3, 99, uint64(rep), uint64(n))
-			inst, err := workload.PolyNetwork(4, 3, n, 2, 8, rng)
-			if err != nil {
-				return dynamics.RunResult{}, err
-			}
-			im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
-			if err != nil {
-				return dynamics.RunResult{}, err
-			}
-			dyn, err := cfg.newDynamics(inst, im, prng.Mix(cfg.Seed, 32, uint64(rep), uint64(n)))
-			if err != nil {
-				return dynamics.RunResult{}, err
-			}
-			return dyn.Run(maxRounds, dynamics.FromCore(core.StopWhenApproxEq(delta, eps, im.Nu()))), nil
-		})
-		if err != nil {
-			return t, err
-		}
-		var rounds []float64
-		for _, res := range results {
-			rounds = append(rounds, float64(res.Rounds))
-		}
-		s, err := stats.Summarize(rounds)
-		if err != nil {
-			return t, err
-		}
-		t.AddRow("layered DAG 4×3, x²", n, s.Mean, s.CI95(), s.Mean/math.Log(float64(n)), "-")
 	}
 	t.AddNote("ln(Φ0/Φ*) is flat in n on these instances (random starts have bounded potential ratio), so the theorem's O((d/ε²δ)·ln(Φ0/Φ*)) bound itself predicts near-constant rounds here")
 	return t, nil

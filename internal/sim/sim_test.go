@@ -82,13 +82,18 @@ func TestTableJSON(t *testing.T) {
 	}
 }
 
+// TestRegistryComplete: E1 and E3–E16 in order. E2 is a scenario spec
+// only (examples/scenarios/e2-monomial-singletons.json).
 func TestRegistryComplete(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 16 {
-		t.Fatalf("registry has %d experiments, want 16", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("registry has %d experiments, want 15", len(exps))
 	}
 	for i, e := range exps {
-		want := "E" + strconv.Itoa(i+1)
+		want := "E1"
+		if i > 0 {
+			want = "E" + strconv.Itoa(i+2)
+		}
 		if e.ID != want {
 			t.Errorf("experiment %d ID = %q, want %q", i, e.ID, want)
 		}
@@ -99,8 +104,10 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := ByID("E3"); !ok {
 		t.Error("ByID(E3) not found")
 	}
-	if _, ok := ByID("E99"); ok {
-		t.Error("ByID(E99) found")
+	for _, id := range []string{"E2", "E99"} {
+		if _, ok := ByID(id); ok {
+			t.Errorf("ByID(%s) found", id)
+		}
 	}
 }
 

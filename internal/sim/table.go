@@ -1,7 +1,8 @@
 // Package sim is the experiment harness: it defines the registry of
-// experiments E1–E16 (one per theorem-level claim of the paper, see
-// EXPERIMENTS.md), replication helpers, and plain-text/markdown/CSV
-// table rendering. The same registry backs cmd/experiments and the
+// experiments E1 and E3–E16 (one per theorem-level claim of the paper,
+// see EXPERIMENTS.md; E2 and E3's layered-DAG rows are scenario specs
+// under examples/scenarios), replication helpers, and
+// plain-text/markdown/CSV table rendering. The same registry backs cmd/experiments and the
 // root-level benchmark suite. Tables are deterministic in Config.Seed
 // and invariant under Config.Workers.
 package sim

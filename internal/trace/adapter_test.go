@@ -120,6 +120,9 @@ func TestRecorderThroughSequentialAdapter(t *testing.T) {
 	if rec.Len() == 0 {
 		t.Fatal("best response absorbed immediately on an unbalanced start")
 	}
+	// Every best-response move strictly lowers Φ, and the recorded running
+	// Φ ends at the exact recompute.
+	prev := math.Inf(1)
 	for i := 0; i < rec.Len(); i++ {
 		s := rec.Round(i)
 		if s.Round != i {
@@ -128,8 +131,12 @@ func TestRecorderThroughSequentialAdapter(t *testing.T) {
 		if s.Movers != 1 {
 			t.Errorf("activation %d movers = %d, want 1", i, s.Movers)
 		}
-		if !math.IsNaN(s.Potential) {
-			t.Errorf("activation %d potential = %v, sequential stream reports NaN", i, s.Potential)
+		if !(s.Potential < prev) {
+			t.Errorf("activation %d potential = %v, want below %v", i, s.Potential, prev)
 		}
+		prev = s.Potential
+	}
+	if want := dyn.Potential(); math.Abs(prev-want) > 1e-9*want {
+		t.Errorf("last recorded potential = %v, exact %v", prev, want)
 	}
 }
